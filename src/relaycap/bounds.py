@@ -13,35 +13,29 @@ know about the relay's message index.  Unlike the cut-set bound, this bound
 stays strictly below the full-cooperation capacity at every finite C0, and
 gap_certificate produces an explicit positive margin for that strictness.
 
-All optimizations are deterministic grid-plus-golden-section searches; no
-stochastic search is used anywhere, so sweeps are exactly reproducible.
+Everything is evaluated in float64 from closed forms: the inner minimum
+over omega is the smaller root of a quadratic in cos(omega), the outer sup
+is the crossing of an increasing and a nonincreasing function of theta
+(found by a bracketed root-find), and the certificate bisects a
+log1p-form finite difference.  No search is stochastic, so sweeps are
+exactly reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath as mp
-import numpy as np
+from scipy.optimize import brentq
 
 from .channel import ChannelParams, capacity_full_cooperation, capacity_no_relay
 from .errors import DomainError, InvalidInput, NumericalError
 
 LN2 = math.log(2.0)
 HALF_PI = math.pi / 2.0
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_COARSE_OUTER = 513
-_COARSE_INNER = 257
-
-# mpmath precision is process-global state; serialize the certificate's
-# extended-precision section so parallel sweeps stay thread-safe.
-_MP_LOCK = threading.Lock()
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,6 @@ class OmegaSearchResult:
 
     omega_star: float
     value: float
-    bracket_width: float
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,6 @@ class BoundFamily(Enum):
     CUTSET = "cutset"
     NEW_BOUND = "new_bound"
     COMPRESS_FORWARD = "cf_rate"
-    FULL_COOP = "c_infinity"
 
 
 @dataclass(frozen=True)
@@ -90,29 +82,25 @@ class BoundCurve:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_raw(P: float, N: float, theta, omega):
-    """Kernel value without domain checks; broadcasts over numpy arrays.
+def _kernel_cos(P: float, N: float, s: float, co: float, c: float, one_minus_c: float) -> float:
+    """Kernel at sin(theta) = s, cos(theta) = co and cos(omega) = c.
 
-    The denominator factor sin^2(theta) - cos^2(omega) is evaluated in the
-    product form cos(omega - theta) * sin(theta + omega - pi/2), which is
-    free of cancellation both at omega = pi/2 (where it must reduce to
-    sin^2 theta exactly) and at theta = pi/2 with omega near zero (where
-    the direct difference of squares rounds to 0).
+    The kernel is 1/2 log2[(1-c)(2P+N+Nc) s^2 / ((P+N)(s - c)(s + c))].
+    1 - c is passed in separately so callers can form it without
+    cancellation; s - c is taken directly where s < co and as
+    (1 - c) - (1 - s) = (1 - c) - co^2/(1 + s) otherwise, so it keeps full
+    relative accuracy at theta -> 0 and at theta -> pi/2 with omega -> 0.
+    s^2 enters only through ratios of order one, so nothing underflows
+    while s is normal.  Raises DomainError on or beyond the wall |c| >= s.
     """
-    omega = np.asarray(omega)
-    s_half = np.sin(omega / 2.0) ** 2
-    s_th = np.sin(theta) ** 2
-    num = 4.0 * s_half * (P + N - N * s_half) * s_th
-    den = (P + N) * np.cos(omega - theta) * np.sin((theta - HALF_PI) + omega)
-    return 0.5 * np.log2(num / den)
-
-
-def _kernel_scalar(P: float, N: float, theta: float, omega: float) -> float:
-    s_half = math.sin(omega / 2.0) ** 2
-    s_th = math.sin(theta) ** 2
-    num = 4.0 * s_half * (P + N - N * s_half) * s_th
-    den = (P + N) * math.cos(omega - theta) * math.sin((theta - HALF_PI) + omega)
-    return 0.5 * math.log2(num / den)
+    s_minus_c = s - c if s < co else one_minus_c - co * co / (1.0 + s)
+    if not (s_minus_c > 0.0 and s + c > 0.0):
+        raise DomainError(
+            "omega outside the open interval (pi/2 - theta, pi/2]: "
+            f"sin^2(theta) - cos^2(omega) <= 0 at sin(theta)={s}, cos(omega)={c}"
+        )
+    x = one_minus_c * (2.0 * P + N + N * c) / (P + N) * (s / s_minus_c) * (s / (s + c))
+    return 0.5 * math.log2(x)
 
 
 def entropy_difference_bound(params: ChannelParams, theta: float, omega: float) -> float:
@@ -126,12 +114,10 @@ def entropy_difference_bound(params: ChannelParams, theta: float, omega: float) 
     """
     if not 0.0 < theta <= HALF_PI:
         raise DomainError(f"theta must lie in (0, pi/2], got {theta}")
-    if math.cos(omega - theta) * math.sin((theta - HALF_PI) + omega) <= 0.0:
-        raise DomainError(
-            "omega outside the open interval (pi/2 - theta, pi/2]: "
-            f"sin^2(theta) - cos^2(omega) <= 0 for theta={theta}, omega={omega}"
-        )
-    return _kernel_scalar(params.P, params.N, theta, omega)
+    return _kernel_cos(
+        params.P, params.N, math.sin(theta), math.cos(theta),
+        math.cos(omega), 2.0 * math.sin(omega / 2.0) ** 2,
+    )
 
 
 def conditional_entropy_bound(params: ChannelParams, theta: float, omega: float) -> float:
@@ -142,65 +128,41 @@ def conditional_entropy_bound(params: ChannelParams, theta: float, omega: float)
     return entropy_difference_bound(params, theta, omega) - math.log2(math.sin(theta))
 
 
-def _golden_min(f, a: float, b: float, xtol: float):
-    """Deterministic golden-section minimization; returns (x, f(x), width).
+def _inner_min(P: float, N: float, theta: float) -> tuple[float, float]:
+    """(1 - c*, k*) for the kernel's minimum over omega at this theta.
 
-    The returned value is the smallest f seen at any evaluated point, so it
-    never exceeds min(f(a), f(b)).
+    With c = cos(omega) the minimizer c* is the smaller root of
+    P c^2 - (2P + N cos^2 theta) c + P sin^2 theta = 0.  Both 1 - c* and
+    q = c*/sin(theta) < tan(theta/2) come from rationalized forms of the
+    root, free of cancellation.
     """
-    best_x, best_f = a, f(a)
-    fb = f(b)
-    if fb < best_f:
-        best_x, best_f = b, fb
-    c = b - (b - a) * _INV_GOLDEN
-    d = a + (b - a) * _INV_GOLDEN
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_GOLDEN
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_GOLDEN
-            fd = f(d)
-        if fc < best_f:
-            best_x, best_f = c, fc
-        if fd < best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f, b - a
+    s, co = math.sin(theta), math.cos(theta)
+    r = math.sqrt(4.0 * P * (P + N) + (N * co) ** 2)
+    den = 2.0 * P + N * co * co + co * r
+    one_minus_c = co * ((2.0 * P + N) * co + r) / den
+    q = 2.0 * P * s / den
+    return one_minus_c, _kernel_cos(P, N, s, co, q * s, one_minus_c)
 
 
 def minimize_entropy_difference(
     params: ChannelParams, theta: float, tol: float = 1e-9
 ) -> OmegaSearchResult:
-    """Minimize the kernel over omega in (pi/2 - theta, pi/2].
+    """Minimize the kernel over omega in (pi/2 - theta, pi/2], in closed form.
 
-    The interval is open on the left where the kernel diverges, so the
-    search runs on [pi/2 - theta + eta, pi/2] with eta = max(1e-9,
-    tol*1e-3) and refines the best coarse-grid cell by golden section.
-    For theta = pi/2 the left endpoint is a finite limit (value 0) that may
-    be the infimum; the endpoint evaluation participates in the minimum.
+    The minimizer is omega* = 2 asin(sqrt((1 - c*)/2)) with c* as in
+    _inner_min.  tol is validated and otherwise unused: the closed form is
+    exact to float precision.  At theta = pi/2 the infimum is the finite
+    limit 0 approached as omega -> 0.
     """
     if not 0.0 < theta <= HALF_PI:
         raise DomainError(f"theta must lie in (0, pi/2], got {theta}")
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    eta = max(1e-9, tol * 1e-3)
-    a = HALF_PI - theta + eta
-    P, N = params.P, params.N
-
-    grid = np.linspace(a, HALF_PI, _COARSE_INNER)
-    values = _kernel_raw(P, N, theta, grid)
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    x, fx, width = _golden_min(
-        lambda w: _kernel_scalar(P, N, theta, w), float(lo), float(hi), tol * 1e-2
-    )
-    if values[i] < fx:
-        x, fx = float(grid[i]), float(values[i])
-    return OmegaSearchResult(omega_star=x, value=fx, bracket_width=width)
+    one_minus_c, value = _inner_min(params.P, params.N, theta)
+    # the half-angle form is exact as omega* -> 0; near pi/2 it can round
+    # one ulp past the interval's right end
+    omega_star = min(HALF_PI, 2.0 * math.asin(math.sqrt(one_minus_c / 2.0)))
+    return OmegaSearchResult(omega_star=omega_star, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +180,18 @@ def cutset_bound(params: ChannelParams, c0: float) -> float:
 def capacity_upper_bound(params: ChannelParams, c0: float, tol: float = 1e-9) -> float:
     """Geometric capacity upper bound at finite C0.
 
-    Outer maximization over theta on [arcsin 2^-C0, pi/2] by a 513-point
-    grid plus golden-section refinement (ties resolved toward smaller
-    theta), inner minimization over omega via minimize_entropy_difference.
-    The result is clamped below by C(0), which the bound approaches as the
-    composite min vanishes, and clamped above by the certified bound, which
-    dominates the searched value in exact arithmetic and keeps the result
-    strictly below C(inf) even where the true gap is smaller than the
-    kernel's float evaluation noise (e.g. SNR ~ 1e-4 with C0 ~ 15).
+    The first term C0 + log2 sin(theta) increases in theta and the inner
+    minimum k*(theta) does not, so the sup of their min over
+    [arcsin 2^-C0, pi/2] sits at their crossing.  Since 0 <= k* <= k*(theta0),
+    the crossing lies where sin(theta) <= 2^(k*(theta0) - C0); brentq finds
+    it to a relative tolerance, and max(first, k*) at the root bounds the
+    sup from above whichever side of the crossing the root landed on.  The
+    sum is rounded up by a bound on its float evaluation error and then
+    clamped: below by C(0), above by the cut-set bound (log2 sin <= 0) and
+    by the certified bound, which keeps the result strictly below C(inf)
+    even where the true gap is smaller than the kernel's float evaluation
+    noise (e.g. SNR ~ 1e-4 with C0 ~ 15).  tol is validated and otherwise
+    unused.
     """
     if math.isinf(c0):
         raise InvalidInput("capacity_upper_bound requires finite C0; use "
@@ -237,29 +203,30 @@ def capacity_upper_bound(params: ChannelParams, c0: float, tol: float = 1e-9) ->
     theta0 = math.asin(2.0 ** (-c0))
     if theta0 <= 0.0:
         raise DomainError(f"C0 = {c0} underflows arcsin(2^-C0) to zero")
-    c_no_relay = capacity_no_relay(params)
-    inner_tol = tol * 0.1
+    P, N = params.P, params.N
 
-    def objective(theta: float) -> float:
-        first = c0 + math.log2(math.sin(theta))
-        inner = minimize_entropy_difference(params, theta, inner_tol).value
-        return min(first, inner)
+    def excess(theta: float) -> float:
+        return c0 + math.log2(math.sin(theta)) - _inner_min(P, N, theta)[1]
 
-    if theta0 >= HALF_PI:
-        best = objective(HALF_PI)
+    lo, hi = theta0, math.asin(min(1.0, 2.0 ** (_inner_min(P, N, theta0)[1] - c0)))
+    if excess(lo) >= 0.0:
+        root = lo
+    elif excess(hi) <= 0.0:
+        root = hi
     else:
-        grid = np.linspace(theta0, HALF_PI, _COARSE_OUTER)
-        coarse = np.array([objective(float(t)) for t in grid])
-        i = int(np.argmax(coarse))
-        lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[min(i + 1, len(grid) - 1)])
-        _, neg_best, _ = _golden_min(lambda t: -objective(t), lo, hi, tol * 1e-2)
-        best = max(float(coarse[i]), -neg_best)
-    value = max(c_no_relay + best, c_no_relay)
+        # near theta0 = arcsin 2^-C0 only a relative tolerance resolves theta
+        root = brentq(excess, lo, hi, xtol=sys.float_info.min, rtol=4.0 * _EPS)
+    best = max(c0 + math.log2(math.sin(root)), _inner_min(P, N, root)[1])
+
+    c_no_relay = capacity_no_relay(params)
+    # k* (at most 1/2) is good to ~3 eps; the first term and the sum carry a
+    # few ulp of C0 and C(0)
+    value = c_no_relay + best + 8.0 * _EPS * (1.0 + c0 + c_no_relay)
+    value = max(min(value, cutset_bound(params, c0)), c_no_relay)
     try:
         value = min(value, gap_certificate(params, c0).certified_bound)
-    except DomainError:
-        # certificate step below float64 range (astronomically large C0)
+    except NumericalError:
+        # certificate step below float64 range (C0 in the hundreds)
         pass
     return value
 
@@ -272,66 +239,51 @@ def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
     within 50% of the exact derivative P / ((2P + N) ln 2); the certified
     bound is then C(inf) - P*delta1 / (2 (2P+N) ln 2).
 
-    The valid step shrinks like theta0^2 (the kernel's curvature at pi/2
-    grows like 1/theta0^2 as the singular wall closes in), which drops
-    below float64's differencing noise already at C0 ~ 20, so the
-    bisection runs in extended precision scaled to C0.
+    With c = sin(delta) the difference is
+    -1/2 [log1p(-c) + log1p(Nc/(2P+N)) - log1p(-(c/sin theta0)^2)] / ln 2,
+    which float64 resolves at any step, so the bisection runs in float64 and
+    in log delta.  The valid step shrinks like theta0^2; once the bisection
+    floor leaves float64's normal range (C0 in the hundreds) the
+    certificate raises NumericalError.
     """
     if not math.isfinite(c0) or c0 < 0:
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
     P, N = params.P, params.N
     deriv = P / ((2.0 * P + N) * LN2)
+    sin0 = 2.0 ** (-c0)
+    theta0 = math.asin(sin0)
+    rho = N / (2.0 * P + N)
 
-    dps = max(50, int(0.7 * c0) + 30)
-    with _MP_LOCK, mp.workdps(dps):
-        mp_P, mp_N = mp.mpf(P), mp.mpf(N)
-        theta0 = mp.asin(mp.mpf(2) ** (-mp.mpf(c0)))
-        half_pi = mp.pi / 2
+    def condition(delta: float) -> bool:
+        c = math.sin(delta)
+        if c >= sin0:
+            return False
+        diff = -0.5 * (math.log1p(-c) + math.log1p(rho * c)
+                       - math.log1p(-((c / sin0) ** 2))) / LN2
+        return abs(diff / delta - deriv) <= deriv / 2.0
 
-        def kernel(omega):
-            # same cancellation-free product form as the float kernel
-            s_half = mp.sin(omega / 2) ** 2
-            num = 4 * s_half * (mp_P + mp_N - mp_N * s_half) * mp.sin(theta0) ** 2
-            den = (
-                (mp_P + mp_N)
-                * mp.cos(omega - theta0)
-                * mp.sin((theta0 - half_pi) + omega)
-            )
-            return mp.log(num / den, 2) / 2
-
-        mp_deriv = mp_P / ((2 * mp_P + mp_N) * mp.log(2))
-        h_end = kernel(half_pi)
-
-        def condition(delta) -> bool:
-            fd = (h_end - kernel(half_pi - delta)) / delta
-            return abs(fd - mp_deriv) <= mp_deriv / 2
-
-        lo = theta0 * theta0 * mp.mpf("1e-6")
-        hi = theta0 * (1 - mp.mpf("1e-30"))
-        if not condition(lo):
-            raise NumericalError(
-                f"finite-difference certificate failed at the bisection floor for c0={c0}"
-            )
-        if condition(hi):
-            lo = hi
-        else:
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                if condition(mid):
-                    lo = mid
-                else:
-                    hi = mid
-        delta1 = float(lo)
-        theta0_f = float(theta0)
-
-    if delta1 <= 0.0:
-        raise DomainError(
-            f"C0 = {c0} yields a certificate step below float64 range"
+    lo, hi = theta0 * theta0 * (P / (2.0 * P + N)) * 1e-6, theta0
+    if lo < sys.float_info.min:
+        raise NumericalError(
+            f"C0 = {c0} puts the certificate step below float64 range"
         )
-    gap = P * delta1 / (2.0 * (2.0 * P + N) * LN2)
+    if not condition(lo):
+        raise NumericalError(
+            f"finite-difference certificate failed at the bisection floor for c0={c0}"
+        )
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            break
+        if condition(mid):
+            lo = mid
+        else:
+            hi = mid
+
+    gap = P * lo / (2.0 * (2.0 * P + N) * LN2)
     return GapCertificate(
-        theta0=theta0_f,
-        delta1=delta1,
+        theta0=theta0,
+        delta1=lo,
         derivative_at_pi_half=deriv,
         gap_lower_bound=gap,
         certified_bound=capacity_full_cooperation(params) - gap,
@@ -348,13 +300,12 @@ def compress_forward_rate(params: ChannelParams, c0: float) -> float:
     """
     if c0 < 0 or math.isnan(c0):
         raise DomainError(f"C0 must be >= 0, got {c0}")
-    P, N = params.P, params.N
     if c0 == 0.0:
         return capacity_no_relay(params)
     if math.isinf(c0):
         return capacity_full_cooperation(params)
-    # expm1 keeps 2^(2 C0) - 1 exact down to subnormal C0
-    sigma2 = N * (2.0 * P + N) / ((P + N) * math.expm1(2.0 * c0 * LN2))
+    P, N = params.P, params.N
+    sigma2 = cf_quantization_variance(params, c0)
     return 0.5 * math.log2(1.0 + P / N + P / (N + sigma2))
 
 
@@ -363,7 +314,12 @@ def cf_quantization_variance(params: ChannelParams, c0: float) -> float:
     if not (math.isfinite(c0) and c0 > 0):
         raise DomainError(f"need finite C0 > 0, got {c0}")
     P, N = params.P, params.N
-    return N * (2.0 * P + N) / ((P + N) * math.expm1(2.0 * c0 * LN2))
+    try:
+        # expm1 keeps 2^(2 C0) - 1 exact down to subnormal C0
+        return N * (2.0 * P + N) / ((P + N) * math.expm1(2.0 * c0 * LN2))
+    except OverflowError:
+        # 2^(2 C0) beyond float64 (C0 > 512): sigma^2 is below N's last ulp
+        return 0.0
 
 
 def sweep(
@@ -371,10 +327,8 @@ def sweep(
 ) -> list[BoundCurve]:
     """Evaluate cut-set, upper-bound, and compress-and-forward curves on a grid.
 
-    The grid must be nonempty, finite, and strictly increasing.  Points may
-    be evaluated in parallel (THREADS environment variable caps the worker
-    count); results are assembled in grid order either way, so output is
-    deterministic.
+    The grid must be nonempty, finite, and strictly increasing.  Points are
+    evaluated in grid order, so output is deterministic.
     """
     grid = [float(c) for c in c0_grid]
     if not grid:
@@ -394,13 +348,7 @@ def sweep(
         except Exception as exc:
             raise NumericalError(f"bound evaluation failed at C0={c0!r}: {exc}") from exc
 
-    workers = int(os.environ.get("THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, grid))
-    else:
-        rows = [point(c0) for c0 in grid]
-
+    rows = [point(c0) for c0 in grid]
     return [
         BoundCurve(
             family=BoundFamily.CUTSET,

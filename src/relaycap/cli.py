@@ -3,7 +3,8 @@
 Output is a single machine-readable record on stdout (JSON by default or
 CSV), with diagnostics on stderr.  Exit codes: 0 success / Monte Carlo
 pass, 2 invalid flags or violated preconditions, 3 numerical failure
-inside a sweep, 4 Monte Carlo fail, 5 Monte Carlo inconclusive.
+(inside a sweep, or a certificate step below float64 range), 4 Monte Carlo
+fail, 5 Monte Carlo inconclusive.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 import math
-import os
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from relaycap import (
     BoundFamily,
@@ -22,10 +24,28 @@ from relaycap import (
     minimize_entropy_difference,
     sweep,
 )
-from relaycap.bounds import _kernel_raw, cf_quantization_variance
+from relaycap.bounds import cf_quantization_variance
 
 P11 = ChannelParams(1.0, 1.0)
 HALF_PI = math.pi / 2
+EPS = sys.float_info.epsilon
+
+
+def np_kernel(P, N, theta, omega):
+    """Vectorised kernel for the dense-grid oracles, in half-angle form.
+
+    With c = cos(omega) and e = pi/2 - theta: 1 - c = 2 sin^2(omega/2) and
+    sin(theta) - c = 2 sin((omega + e)/2) sin((omega - e)/2), so the grids
+    can reach omega -> 0 at theta = pi/2 without cancelling.
+    """
+    e = HALF_PI - theta
+    c = np.cos(omega)
+    one_minus_c = 2 * np.sin(omega / 2) ** 2
+    s_minus_c = 2 * np.sin((omega + e) / 2) * np.sin((omega - e) / 2)
+    s = np.sin(theta)
+    return 0.5 * np.log2(
+        one_minus_c * (2 * P + N + N * c) * s * s / ((P + N) * s_minus_c * (s + c))
+    )
 
 
 def mp_kernel(P, N, theta, omega):
@@ -117,7 +137,7 @@ class TestMinimize:
     def test_against_dense_grid(self, theta):
         r = minimize_entropy_difference(P11, theta, 1e-9)
         grid = np.linspace(HALF_PI - theta + 1e-9, HALF_PI, 1_000_000)
-        dense = float(np.min(_kernel_raw(1.0, 1.0, theta, grid)))
+        dense = float(np.min(np_kernel(1.0, 1.0, theta, grid)))
         assert r.value <= dense + 1e-9
         assert abs(r.value - dense) <= 1e-7
 
@@ -183,7 +203,7 @@ class TestUpperBound:
         best = -math.inf
         for theta in np.linspace(theta0, HALF_PI, 2000):
             omegas = np.linspace(HALF_PI - theta + 1e-9, HALF_PI, 2000)
-            inner = float(np.min(_kernel_raw(1.0, 1.0, float(theta), omegas)))
+            inner = float(np.min(np_kernel(1.0, 1.0, float(theta), omegas)))
             best = max(best, min(c0 + math.log2(math.sin(theta)), inner))
         brute = capacity_no_relay(P11) + best
         ours = capacity_upper_bound(P11, c0, 1e-9)
@@ -247,7 +267,7 @@ class TestGapCertificate:
     @pytest.mark.parametrize("c0", [20.0, 30.0, 60.0])
     def test_large_c0_certificate(self, c0):
         # The valid step scales like theta0^2, far below float differencing
-        # noise; the extended-precision bisection must still deliver a
+        # noise of a direct difference; the log1p form must still deliver a
         # strictly positive certificate.
         cert = gap_certificate(P11, c0)
         assert 0.0 < cert.delta1 < cert.theta0
@@ -347,9 +367,140 @@ class TestSweep:
         with pytest.raises(NumericalError, match="C0=-1.0"):
             sweep(P11, [-1.0, 0.5], 1e-7)
 
-    def test_threads_override_matches_serial(self, monkeypatch):
-        grid = [0.3, 0.8, 1.5]
-        serial = sweep(P11, grid, 1e-7)
-        monkeypatch.setenv("THREADS", "3")
-        parallel = sweep(P11, grid, 1e-7)
-        assert serial == parallel
+
+# ---------------------------------------------------------------------------
+# Property tests over the domain edges
+# ---------------------------------------------------------------------------
+
+# capacity_upper_bound rounds its sum up by this bound on the float error of
+# its evaluation; two evaluations of the true, monotone bound can therefore
+# come out of order by up to twice it.
+def _rounding(c0, params):
+    return 8 * EPS * (1 + c0 + capacity_no_relay(params))
+
+
+def _snr(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+def mp_kstar(P, N, theta):
+    """k*(theta) from the exact smaller root c* of the stationarity quadratic."""
+    s, co = mp.sin(theta), mp.cos(theta)
+    b = 2 * P + N * co ** 2
+    c = (b - co * mp.sqrt(4 * P * (P + N) + N ** 2 * co ** 2)) / (2 * P)
+    return mp.log((1 - c) * (2 * P + N + N * c) * s ** 2 / ((P + N) * (s ** 2 - c ** 2)), 2) / 2
+
+
+def mp_upper_bound(P, N, c0):
+    """The bound's sup at 60 digits: the crossing of C0 + log2 sin and k*."""
+    with mp.workdps(60):
+        P, N, c0 = mp.mpf(P), mp.mpf(N), mp.mpf(c0)
+        base = mp.log(1 + P / N, 2) / 2
+        if c0 == 0:
+            return base
+        theta0 = mp.asin(mp.mpf(2) ** -c0)
+        hi = mp.asin(min(mp.mpf(1), mp.mpf(2) ** (mp_kstar(P, N, theta0) - c0)))
+        root = mp.findroot(
+            lambda t: c0 + mp.log(mp.sin(t), 2) - mp_kstar(P, N, t),
+            (theta0, hi), solver="anderson",
+        )
+        return base + c0 + mp.log(mp.sin(root), 2)
+
+
+def mp_delta1(P, N, c0):
+    """Certificate step by bisection in log delta at C0-scaled precision."""
+    with mp.workdps(max(50, int(0.7 * c0) + 30)):
+        P, N = mp.mpf(P), mp.mpf(N)
+        theta0 = mp.asin(mp.mpf(2) ** -mp.mpf(c0))
+        deriv = P / ((2 * P + N) * mp.log(2))
+
+        def kernel(omega):
+            s_half = mp.sin(omega / 2) ** 2
+            num = 4 * s_half * (P + N - N * s_half) * mp.sin(theta0) ** 2
+            return mp.log(num / ((P + N) * (mp.sin(theta0) ** 2 - mp.cos(omega) ** 2)), 2) / 2
+
+        def holds(delta):
+            fd = (kernel(mp.pi / 2) - kernel(mp.pi / 2 - delta)) / delta
+            return abs(fd - deriv) <= deriv / 2
+
+        lo, hi = mp.log(theta0 ** 2 * P / (2 * P + N) * mp.mpf("1e-6")), mp.log(theta0)
+        assert holds(mp.exp(lo)) and not holds(mp.exp(hi) * (1 - mp.mpf("1e-30")))
+        while hi - lo > mp.mpf("1e-20"):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if holds(mp.exp(mid)) else (lo, mid)
+        return mp.exp(lo)
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(snr=_snr(-6, 6))
+    def test_kstar_nonincreasing_in_theta(self, snr):
+        p = ChannelParams.from_snr(snr)
+        thetas = np.linspace(HALF_PI / 4000, HALF_PI, 4000)
+        vals = [minimize_entropy_difference(p, float(t)).value for t in thetas]
+        rises = np.diff(vals)
+        assert np.all(rises <= 8 * EPS), float(np.max(rises))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        snr=_snr(-6, 6),
+        theta=st.floats(0.0, HALF_PI, exclude_min=True),
+        u=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_kstar_below_kernel(self, snr, theta, u):
+        p = ChannelParams.from_snr(snr)
+        omega = HALF_PI - (1.0 - u) * theta
+        try:
+            k = entropy_difference_bound(p, theta, omega)
+        except DomainError:
+            assume(False)
+        r = minimize_entropy_difference(p, theta)
+        assert HALF_PI - theta < r.omega_star <= HALF_PI
+        assert r.value <= k + 8 * EPS * (1 + abs(k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(snr=_snr(-4, 4), c0=st.floats(0.0, 20.0))
+    def test_ordering(self, snr, c0):
+        p = ChannelParams.from_snr(snr)
+        ub = capacity_upper_bound(p, c0)
+        assert compress_forward_rate(p, c0) <= ub <= cutset_bound(p, c0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="where the certified gap falls below half an ulp of C(inf) (SNR 1e-4, "
+        "C0 >= ~19.4) the bound rounds to C(inf); see CHANGES.md",
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(snr=_snr(-4, 4), c0=st.floats(0.0, 20.0))
+    @example(snr=1e-4, c0=20.0)
+    def test_strictly_below_full_cooperation(self, snr, c0):
+        p = ChannelParams.from_snr(snr)
+        assert capacity_upper_bound(p, c0) < capacity_full_cooperation(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(snr=_snr(-4, 4), c0a=st.floats(0.0, 20.0), c0b=st.floats(0.0, 20.0))
+    def test_monotone_in_c0(self, snr, c0a, c0b):
+        p = ChannelParams.from_snr(snr)
+        lo, hi = sorted((c0a, c0b))
+        slack = 2 * _rounding(hi, p)
+        assert capacity_upper_bound(p, hi) >= capacity_upper_bound(p, lo) - slack
+
+    @settings(max_examples=30, deadline=None)
+    @given(snr=_snr(-4, 4), c0=st.floats(0.01, 100.0))
+    def test_delta1_against_mpmath(self, snr, c0):
+        p = ChannelParams.from_snr(snr)
+        oracle = mp_delta1(p.P, p.N, c0)
+        assert abs(gap_certificate(p, c0).delta1 / oracle - 1) <= 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="C(inf) = 1/2 log2(1 + 2P/N) in channel.py is low by up to ~1.6e-16 bits; "
+        "where the certified gap is smaller, the certificate clamp puts the bound "
+        "below the oracle; see CHANGES.md",
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(snr=_snr(-4, 4), c0=st.floats(0.0, 20.0))
+    @example(snr=0.0010396161071825546, c0=18.235666362590443)
+    def test_upper_bound_not_below_mpmath_oracle(self, snr, c0):
+        p = ChannelParams.from_snr(snr)
+        assert mp.mpf(capacity_upper_bound(p, c0)) >= mp_upper_bound(p.P, p.N, c0)

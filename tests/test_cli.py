@@ -76,6 +76,19 @@ class TestBoundsSweep:
         assert "0.7" in err
 
 
+    @pytest.mark.parametrize("c0", ["40", "600"])
+    def test_large_c0_point_finite(self, capsys, c0):
+        # 40 used to hit a math domain error in the omega search; at 600
+        # sin^2(theta0) underflows, which the closed form must not divide by
+        code, out, err = run_cli(
+            capsys, "bounds-sweep", "--c0-min", c0, "--c0-steps", "1",
+        )
+        assert code == EXIT_OK, err
+        for row in json.loads(out)["rows"]:
+            assert math.isfinite(row["new_bound"])
+            assert row["new_bound"] <= row["cutset"] <= row["c_infinity"]
+
+
 class TestGap:
     def test_columns_and_derivative(self, capsys):
         code, out, _ = run_cli(capsys, "gap", "--snr", "1", "--c0", "1")
@@ -90,6 +103,14 @@ class TestGap:
         code, out, _ = run_cli(capsys, "gap", "--snr", "1", "--c0", "10")
         assert code == EXIT_OK
         assert json.loads(out)["rows"][0]["gap_lower_bound"] > 0
+
+    def test_step_underflow_is_numerical(self, capsys):
+        # a valid C0 whose certificate step is below float64 range is a
+        # numerical limit (exit 3), not invalid input (exit 2)
+        code, out, err = run_cli(capsys, "gap", "--snr", "1", "--c0", "1000")
+        assert code == EXIT_NUMERICAL
+        assert not out
+        assert "float64" in err
 
     @pytest.mark.parametrize("bad", ["0", "-1", "inf", "nan"])
     def test_invalid_c0(self, capsys, bad):
