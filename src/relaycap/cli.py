@@ -379,7 +379,7 @@ def _cmd_mc(args) -> int:
             spec, angular, args.extrude_lo, args.extrude_hi
         )
         report = montecarlo.verify_isoperimetry_shell(
-            shell_set, _angle(args.omega, args), cfg, radial_law=args.radial_law
+            shell_set, _angle(args.omega, args), cfg
         )
         params = {
             "m": args.m, "n_scale": args.n_scale, "delta": args.delta,
@@ -387,7 +387,6 @@ def _cmd_mc(args) -> int:
             "omega": _angle(args.omega, args), "epsilon": args.epsilon,
             "trials": args.trials, "samples": args.samples,
             "extrude_lo": args.extrude_lo, "extrude_hi": args.extrude_hi,
-            "radial_law": args.radial_law,
         }
     else:  # pragma: no cover
         raise InvalidInput(f"unknown mc subcommand {sub!r}")
@@ -477,8 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
             g.add_argument("--delta", type=float, default=0.1)
             g.add_argument("--extrude-lo", type=float, default=0.0)
             g.add_argument("--extrude-hi", type=float, default=1.0)
-            g.add_argument("--radial-law", choices=("uniform", "power"),
-                           default="uniform")
         _add_common(g)
         g.set_defaults(func=_cmd_mc)
 

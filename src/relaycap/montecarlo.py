@@ -34,12 +34,17 @@ from scipy.interpolate import PchipInterpolator
 
 from . import geometry
 from .errors import DomainError, UnsupportedSet
-from .geometry import ShellSpec, _log2_radial_integral, _log2_sin_integral_zero_to
+from .geometry import (
+    ShellSpec,
+    _log2_beta_fn,
+    _log2_radial_integral,
+    _log2_sin_integral_zero_to,
+    log2_reg_inc_beta,
+)
 
 LN2 = math.log(2.0)
 HALF_PI = math.pi / 2.0
 
-_CHUNK_ELEMENTS = 8_000_000
 _POLAR_TABLE_NODES = 4096
 
 
@@ -67,6 +72,19 @@ def sample_uniform_sphere(m: int, R: float, rng: np.random.Generator, size: int 
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     pts = R * g
     return pts[0] if size is None else pts
+
+
+def _polar_cosines(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Cosines of n uniform points on the sphere in R^m to a fixed axis.
+
+    Exact law without drawing the points: for a standard Gaussian vector,
+    the axis coordinate z and the squared norm of the other m - 1
+    coordinates (chi-square with m - 1 degrees of freedom) are independent,
+    so cos = z / sqrt(z^2 + chi2_{m-1}); equivalently cos^2 ~ Beta(1/2,
+    (m-1)/2) with a random sign.  Work and memory scale with n, not n * m.
+    """
+    z = rng.standard_normal(n)
+    return z / np.sqrt(z * z + rng.chisquare(m - 1, n))
 
 
 @lru_cache(maxsize=64)
@@ -170,6 +188,17 @@ def _solve_angle_for_mass(m: int, target_log2: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _log2_band_mass(m: int, w: float) -> float:
+    """log2 of the sin^(m-2) mass of the equatorial band [pi/2 - w, pi/2 + w].
+
+    Substituting v = cos^2(rho) gives B(1/2, (m-1)/2) I_{sin^2 w}(1/2, (m-1)/2);
+    the incomplete beta's log form stays finite for bands far thinner than
+    the float spacing near pi/2.
+    """
+    b = (m - 1) / 2.0
+    return _log2_beta_fn(0.5, b) + log2_reg_inc_beta(math.sin(w) ** 2, 0.5, b)
+
+
 @dataclass(eq=False)
 class SphereSet:
     """An axially symmetric subset of the sphere: polar-angle intervals.
@@ -225,33 +254,29 @@ class SphereSet:
         return cls(m, ivs, _default_axis(m) if axis is None else axis, "twocaps")
 
     @classmethod
-    def band_with_effective_angle(
-        cls, m: int, theta: float, center: float = HALF_PI, axis=None
-    ) -> "SphereSet":
-        """Equatorial-style band whose measure matches a cap of angle theta.
+    def band_with_effective_angle(cls, m: int, theta: float, axis=None) -> "SphereSet":
+        """Equatorial band whose measure matches a cap of angle theta.
 
-        Half-width found by bisection in log space (the matching band can be
-        astronomically thin at large m).
+        Half-width found by bisection in log space on the band's closed-form
+        mass (the matching band can be astronomically thin at large m).
         """
+        if not theta > 0.0:
+            raise DomainError(f"band effective angle must be positive, got {theta}")
         target = _log2_sin_integral_zero_to(m - 2, theta)
-        w_hi = min(center, math.pi - center)
-
-        def mass(w: float) -> float:
-            return geometry.log2_sin_power_integral(m - 2, center - w, center + w)
-
-        if mass(w_hi) < target:
-            raise DomainError(
-                f"no band at center {center} reaches the mass of a cap of angle {theta}"
-            )
-        ln_lo, ln_hi = math.log(w_hi) - 800.0, math.log(w_hi)
+        ln_lo, ln_hi = math.log(HALF_PI) - 800.0, math.log(HALF_PI)
         for _ in range(120):
             ln_mid = 0.5 * (ln_lo + ln_hi)
-            if mass(math.exp(ln_mid)) < target:
+            if _log2_band_mass(m, math.exp(ln_mid)) < target:
                 ln_lo = ln_mid
             else:
                 ln_hi = ln_mid
-        w = math.exp(0.5 * (ln_lo + ln_hi))
-        return cls.band(m, center, w, axis)
+        # Polar intervals are float angles: above m ~ 450 (theta = 70 deg) the
+        # matching band is thinner than ulp(pi/2) and would round to an empty
+        # interval, so it is floored at one ulp either side of the equator.
+        # Its measure then exceeds the target and effective_theta is the
+        # floored band's real angle, not theta.
+        w = max(math.exp(0.5 * (ln_lo + ln_hi)), math.ulp(HALF_PI))
+        return cls.band(m, HALF_PI, w, axis)
 
     @classmethod
     def two_caps_with_effective_angle(cls, m: int, theta: float, axis=None) -> "SphereSet":
@@ -527,18 +552,10 @@ def verify_concentration(m: int, mu_cut: float, cfg: McConfig) -> McReport:
         raise DomainError(f"mu must lie in (0, 1), got {mu_cut}")
     if m < 2:
         raise DomainError(f"need m >= 2, got {m}")
-    rng = trial_rng(cfg.seed, 0)
     n = cfg.samples_per_estimate
-    rows = max(1, _CHUNK_ELEMENTS // m)
-    hits = one_sided_hits = 0
-    remaining = n
-    while remaining > 0:
-        take = min(rows, remaining)
-        g = rng.standard_normal((take, m))
-        cos1 = g[:, 0] / np.linalg.norm(g, axis=1)
-        hits += int(np.count_nonzero(np.abs(cos1) >= mu_cut))
-        one_sided_hits += int(np.count_nonzero(cos1 >= mu_cut))
-        remaining -= take
+    cos1 = _polar_cosines(m, n, trial_rng(cfg.seed, 0))
+    hits = int(np.count_nonzero(np.abs(cos1) >= mu_cut))
+    one_sided_hits = int(np.count_nonzero(cos1 >= mu_cut))
     estimate = hits / n
     se = _binomial_se(estimate, n)
     threshold = min(1.0, 1.0 / (m * mu_cut * mu_cut))
@@ -564,21 +581,12 @@ def verify_blowup(m: int, sphere_set: SphereSet, epsilon: float, cfg: McConfig) 
         raise DomainError("set must have positive effective angle")
     t = HALF_PI - theta + epsilon
     expanded = sphere_set.expanded_intervals(max(t, 0.0))
-    rng = trial_rng(cfg.seed, 0)
     n = cfg.samples_per_estimate
-    rows = max(1, _CHUNK_ELEMENTS // m)
-    hits = 0
-    remaining = n
-    while remaining > 0:
-        take = min(rows, remaining)
-        g = rng.standard_normal((take, m))
-        cosang = np.clip(g @ sphere_set.axis / np.linalg.norm(g, axis=1), -1.0, 1.0)
-        polar = np.arccos(cosang)
-        member = np.zeros(take, dtype=bool)
-        for lo, hi in expanded:
-            member |= (polar >= lo) & (polar <= hi)
-        hits += int(np.count_nonzero(member))
-        remaining -= take
+    polar = np.arccos(np.clip(_polar_cosines(m, n, trial_rng(cfg.seed, 0)), -1.0, 1.0))
+    member = np.zeros(n, dtype=bool)
+    for lo, hi in expanded:
+        member |= (polar >= lo) & (polar <= hi)
+    hits = int(np.count_nonzero(member))
     estimate = hits / n
     se = _binomial_se(estimate, n)
     threshold = 1.0 - epsilon
@@ -667,28 +675,20 @@ def verify_isoperimetry_sphere(
     return report
 
 
-def verify_isoperimetry_shell(
-    shell_set: ShellSet,
-    omega: float,
-    cfg: McConfig,
-    radial_law: str = "uniform",
-) -> McReport:
+def verify_isoperimetry_shell(shell_set: ShellSet, omega: float, cfg: McConfig) -> McReport:
     """Cap-intersection verification on a shell.
 
     Shell caps are radial cones, so the intersection volume factorizes into
     the angular intersection on the base sphere times the set's exact
     radial integral; only the angular factor is estimated by sampling.
-    Y is drawn from a rotationally invariant law on the shell whose radial
-    part is uniform-in-radius by default ("power" selects the density
-    proportional to r^(m-1)); the intersection volume does not depend on
-    the radial law, which only enters through the draw itself.
+    For the same reason only the direction of Y matters: its radius, under
+    any rotationally invariant law on the shell, cannot change the result,
+    so it is not drawn.
     """
     spec = shell_set.spec
     m = spec.m
     if m < 4:
         raise DomainError(f"need m >= 4, got {m}")
-    if radial_law not in ("uniform", "power"):
-        raise DomainError(f"radial law must be 'uniform' or 'power', got {radial_law!r}")
     theta = shell_set.effective_theta
     if not 0.0 < theta <= HALF_PI:
         raise DomainError(f"effective angle must lie in (0, pi/2], got {theta}")
@@ -703,20 +703,10 @@ def verify_isoperimetry_shell(
     beta = min(omega + cfg.slack, math.pi)
     radius = shell_set.base_radius
     log2_radial = shell_set.log2_radial_part()
-    r_lo, r_hi = spec.r_lower, spec.r_upper
-
-    def draw_radius(rng: np.random.Generator) -> float:
-        u = rng.random()
-        if radial_law == "uniform":
-            return r_lo + u * (r_hi - r_lo)
-        t = m * math.log(r_lo / r_hi)
-        base = math.exp(t) if t > -745.0 else 0.0
-        return r_hi * (base + u * (1.0 - base)) ** (1.0 / m)
 
     def trial_estimate(t: int) -> tuple[float, float]:
         rng = trial_rng(cfg.seed, t)
         y = rng.standard_normal(m)
-        _ = draw_radius(rng)  # part of the Y draw; the cone geometry ignores it
         est, se = estimate_cap_intersection(
             shell_set.angular, y, beta, cfg.samples_per_estimate, rng, radius
         )
@@ -724,13 +714,6 @@ def verify_isoperimetry_shell(
 
     report = _isoperimetry_trials(trial_estimate, cfg.trials, log2_required, cfg)
     report.details.update(
-        {
-            "m": m,
-            "theta": theta,
-            "omega": omega,
-            "beta": beta,
-            "log2_V": v_log2,
-            "radial_law": radial_law,
-        }
+        {"m": m, "theta": theta, "omega": omega, "beta": beta, "log2_V": v_log2}
     )
     return report

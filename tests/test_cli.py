@@ -211,6 +211,13 @@ class TestMc:
             "--extrude-lo", "0.0", "--extrude-hi", "0.1",
         )
         assert code in (EXIT_OK, EXIT_MC_INCONCLUSIVE)
+        assert "radial_law" not in json.loads(out)["rows"][0]
+
+    def test_radial_law_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "isoperimetry-shell", "--m", "100", "--theta", "70",
+                  "--omega", "35", "--deg", "--radial-law", "power"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_verdict_exit_codes(self, capsys, monkeypatch):
         def fake_verify(m, mu, cfg):

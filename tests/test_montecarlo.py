@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import beta as beta_law
+from scipy.stats import ks_2samp, kstest
 
 from relaycap import (
     CapSpec,
@@ -23,7 +26,14 @@ from relaycap import (
     verify_isoperimetry_shell,
     verify_isoperimetry_sphere,
 )
-from relaycap.montecarlo import estimate_cap_intersection, trial_rng
+from relaycap.geometry import _log2_sin_integral_zero_to, log2_sin_power_integral, reg_inc_beta
+from relaycap.montecarlo import (
+    HALF_PI,
+    _log2_band_mass,
+    _polar_cosines,
+    estimate_cap_intersection,
+    trial_rng,
+)
 
 deg = math.radians
 
@@ -63,6 +73,16 @@ class TestSphereSampler:
     def test_rejects_m1(self):
         with pytest.raises(DomainError):
             sample_uniform_sphere(1, 1.0, trial_rng(0, 0))
+
+
+class TestPolarCosines:
+    @pytest.mark.parametrize("m", [3, 50, 1000, 10**6])
+    def test_law(self, m):
+        # cos^2 ~ Beta(1/2, (m-1)/2), and the sign is a fair coin
+        n = 20_000
+        cos = _polar_cosines(m, n, trial_rng(7, 0))
+        assert kstest(cos * cos, beta_law(0.5, (m - 1) / 2).cdf).pvalue > 0.01
+        assert abs(float(np.mean(cos > 0.0)) - 0.5) <= 4 * 0.5 / math.sqrt(n)
 
 
 class TestCapSampler:
@@ -128,6 +148,46 @@ class TestSphereSet:
         s = SphereSet.band_with_effective_angle(300, deg(70))
         lo, hi = s.intervals[0]
         assert hi - lo < 1e-8
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(4, 5000), w=st.floats(1e-6, HALF_PI))
+    def test_band_mass_closed_form_matches_quadrature(self, m, w):
+        # Below w ~ 1e-6 the float endpoints pi/2 +- w move the quadrature's
+        # interval itself; the closed form takes w exactly.
+        closed = _log2_band_mass(m, w)
+        quad = log2_sin_power_integral(m - 2, HALF_PI - w, HALF_PI + w)
+        assert abs(closed - quad) * math.log(2.0) <= 1e-9
+
+    @pytest.mark.parametrize("m", [4, 20, 120, 300, 440, 460, 500, 1000, 3000])
+    def test_band_floor_at_one_ulp(self, m):
+        theta, u = deg(70), math.ulp(HALF_PI)
+        s = SphereSet.band_with_effective_angle(m, theta)
+        (lo, hi), = s.intervals
+        target = _log2_sin_integral_zero_to(m - 2, theta)
+        mass = s.log2_angular_mass()
+        if _log2_band_mass(m, u) >= target:
+            # the matching band is thinner than ulp(pi/2): floored, so the
+            # stored band carries more than the target mass
+            assert (lo, hi) == (HALF_PI - u, HALF_PI + u)
+            assert mass > target
+        else:
+            # within 1e-6 relative, up to the rounding of the float endpoints
+            tol = 1e-6 * abs(target) + math.log2(1.0 + u / (hi - lo))
+            assert abs(mass - target) <= tol
+
+    def test_floored_band_reports_its_real_angle(self):
+        m, u = 1000, math.ulp(HALF_PI)
+        s = SphereSet.band_with_effective_angle(m, deg(70))
+        mass = s.log2_angular_mass()
+        assert mass == pytest.approx(math.log2(2 * u), abs=1e-9)
+        assert _log2_sin_integral_zero_to(m - 2, s.effective_theta) == pytest.approx(
+            mass, rel=1e-9
+        )
+        assert s.effective_theta == pytest.approx(deg(76.06), abs=deg(0.01))
+
+    def test_band_rejects_nonpositive_angle(self):
+        with pytest.raises(DomainError):
+            SphereSet.band_with_effective_angle(50, 0.0)
 
     def test_two_caps_effective_angle(self):
         m, target = 150, deg(70)
@@ -249,6 +309,15 @@ class TestConcentration:
         estimates = [verify_concentration(m, 0.3, cfg).estimate for m in (10, 100, 1000)]
         assert estimates[0] > estimates[1] > estimates[2]
 
+    @pytest.mark.parametrize("m", [10**3, 10**5, 10**7])
+    def test_tail_matches_exact_law(self, m):
+        # P(|cos| >= mu) = I_{1 - mu^2}((m-1)/2, 1/2)
+        mu, n = 2.5 / math.sqrt(m), 100_000
+        cfg = McConfig(seed=7, samples_per_estimate=n, trials=1, epsilon=0.1)
+        rep = verify_concentration(m, mu, cfg)
+        exact = reg_inc_beta(1.0 - mu * mu, (m - 1) / 2, 0.5)
+        assert abs(rep.estimate - exact) <= 4 * math.sqrt(exact * (1.0 - exact) / n)
+
     def test_invalid_mu(self):
         with pytest.raises(DomainError):
             verify_concentration(10, 1.5, McConfig(seed=0, samples_per_estimate=10,
@@ -338,18 +407,6 @@ class TestIsoperimetryShell:
         sphere_rep = verify_isoperimetry_sphere(m, SphereSet.cap(m, deg(70)), deg(35), self.CFG)
         tol = 2 * (shell_rep.std_error + sphere_rep.std_error) + 1e-12
         assert abs(shell_rep.estimate - sphere_rep.estimate) <= tol
-
-    def test_power_radial_law(self):
-        spec = ShellSpec(200, 1.0, 0.1)
-        s = ShellSet.extruded(spec, SphereSet.cap(200, deg(70)))
-        rep = verify_isoperimetry_shell(s, deg(35), self.CFG, radial_law="power")
-        assert rep.verdict is Verdict.PASS
-
-    def test_unknown_radial_law(self):
-        spec = ShellSpec(100, 1.0, 0.1)
-        s = ShellSet.extruded(spec, SphereSet.cap(100, deg(70)))
-        with pytest.raises(DomainError):
-            verify_isoperimetry_shell(s, deg(35), self.CFG, radial_law="gaussian")
 
 
 class TestReportSemantics:
