@@ -144,20 +144,15 @@ def _inner_min(P: float, N: float, theta: float) -> tuple[float, float]:
     return one_minus_c, _kernel_cos(P, N, s, co, q * s, one_minus_c)
 
 
-def minimize_entropy_difference(
-    params: ChannelParams, theta: float, tol: float = 1e-9
-) -> OmegaSearchResult:
+def minimize_entropy_difference(params: ChannelParams, theta: float) -> OmegaSearchResult:
     """Minimize the kernel over omega in (pi/2 - theta, pi/2], in closed form.
 
     The minimizer is omega* = 2 asin(sqrt((1 - c*)/2)) with c* as in
-    _inner_min.  tol is validated and otherwise unused: the closed form is
-    exact to float precision.  At theta = pi/2 the infimum is the finite
-    limit 0 approached as omega -> 0.
+    _inner_min; the closed form is exact to float precision.  At
+    theta = pi/2 the infimum is the finite limit 0 approached as omega -> 0.
     """
     if not 0.0 < theta <= HALF_PI:
         raise DomainError(f"theta must lie in (0, pi/2], got {theta}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
     one_minus_c, value = _inner_min(params.P, params.N, theta)
     # the half-angle form is exact as omega* -> 0; near pi/2 it can round
     # one ulp past the interval's right end
@@ -177,7 +172,7 @@ def cutset_bound(params: ChannelParams, c0: float) -> float:
     return min(capacity_full_cooperation(params), capacity_no_relay(params) + c0)
 
 
-def capacity_upper_bound(params: ChannelParams, c0: float, tol: float = 1e-9) -> float:
+def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
     """Geometric capacity upper bound at finite C0.
 
     The first term C0 + log2 sin(theta) increases in theta and the inner
@@ -190,16 +185,13 @@ def capacity_upper_bound(params: ChannelParams, c0: float, tol: float = 1e-9) ->
     clamped: below by C(0), above by the cut-set bound (log2 sin <= 0) and
     by the certified bound, which keeps the result strictly below C(inf)
     even where the true gap is smaller than the kernel's float evaluation
-    noise (e.g. SNR ~ 1e-4 with C0 ~ 15).  tol is validated and otherwise
-    unused.
+    noise (e.g. SNR ~ 1e-4 with C0 ~ 15).
     """
     if math.isinf(c0):
         raise InvalidInput("capacity_upper_bound requires finite C0; use "
                            "capacity_full_cooperation for the C0 = inf asymptote")
     if c0 < 0 or math.isnan(c0):
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
     theta0 = math.asin(2.0 ** (-c0))
     if theta0 <= 0.0:
         raise DomainError(f"C0 = {c0} underflows arcsin(2^-C0) to zero")
@@ -322,9 +314,7 @@ def cf_quantization_variance(params: ChannelParams, c0: float) -> float:
         return 0.0
 
 
-def sweep(
-    params: ChannelParams, c0_grid: list[float], tol: float = 1e-9
-) -> list[BoundCurve]:
+def sweep(params: ChannelParams, c0_grid: list[float]) -> list[BoundCurve]:
     """Evaluate cut-set, upper-bound, and compress-and-forward curves on a grid.
 
     The grid must be nonempty, finite, and strictly increasing.  Points are
@@ -342,7 +332,7 @@ def sweep(
         try:
             return (
                 cutset_bound(params, c0),
-                capacity_upper_bound(params, c0, tol),
+                capacity_upper_bound(params, c0),
                 compress_forward_rate(params, c0),
             )
         except Exception as exc:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvalidInput
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -24,7 +26,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         for name, value in (("P", self.P), ("N", self.N)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+                raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
 
     @property
     def snr(self) -> float:

@@ -3,13 +3,15 @@
 Output is a single machine-readable record on stdout (JSON by default or
 CSV), with diagnostics on stderr.  Exit codes: 0 success / Monte Carlo
 pass, 2 invalid flags or violated preconditions, 3 numerical failure
-(inside a sweep, or a certificate step below float64 range), 4 Monte Carlo
-fail, 5 Monte Carlo inconclusive.
+(inside a sweep, a certificate step below float64 range, or any other
+internal arithmetic or math-domain failure), 4 Monte Carlo fail, 5 Monte
+Carlo inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -134,14 +136,13 @@ def _cmd_bounds_sweep(args) -> int:
             "c0_min": args.c0_min,
             "c0_max": args.c0_max,
             "c0_steps": args.c0_steps,
-            "tol": args.tol,
         },
         columns=["snr", "c0", "cutset", "new_bound", "cf_rate", "c_infinity"],
     )
     for snr in snrs:
         params = channel.ChannelParams.from_snr(snr)
         c_inf = channel.capacity_full_cooperation(params)
-        curves = bounds.sweep(params, grid, args.tol)
+        curves = bounds.sweep(params, grid)
         by_family = {c.family: c.points for c in curves}
         for i, c0 in enumerate(grid):
             record.add(
@@ -190,6 +191,9 @@ def _cmd_geom(args) -> int:
     n = args.n_scale
     if sub == "cap-area":
         theta = _angle(args.theta, args)
+        if args.m < 3 or not n > 0:
+            raise DomainError(f"cap-area needs m >= 3 and n_scale > 0, got m={args.m}, "
+                              f"n_scale={n}")
         spec = geometry.CapSpec(args.m, math.sqrt(args.m * n), theta)
         value = geometry.log_cap_area(spec).log2_value
         exponent = (args.m / 2.0) * (
@@ -407,7 +411,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="interpret angle flags as degrees")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The relaycap argument parser, built once per process and shared.
+
+    Sharing is safe: parse_args does not change the parser, each parse
+    starts a fresh list for an `append` option, and the `func` defaults
+    bind the module's command functions.
+    """
     parser = argparse.ArgumentParser(
         prog="relaycap",
         description="Gaussian relay channel capacity bounds and geometry tools",
@@ -420,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c0-min", type=float, default=0.05)
     p.add_argument("--c0-max", type=float, default=3.0)
     p.add_argument("--c0-steps", type=int, default=60)
-    p.add_argument("--tol", type=float, default=1e-6)
     _add_common(p)
     p.set_defaults(func=_cmd_bounds_sweep)
 
@@ -487,12 +497,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (DomainError, InvalidInput, UnsupportedSet, ValueError) as exc:
+    except (DomainError, InvalidInput, UnsupportedSet) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (NumericalError, ValueError, ArithmeticError) as exc:
+        # any other ValueError (e.g. a math domain error) is an internal failure
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,6 +13,8 @@ log domain.  Tests cross-check one against the other.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -241,42 +243,42 @@ def log2_reg_inc_beta(x: float, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _log2_quad(log2_f, a: float, b: float, drop_bits: float = 70.0) -> float:
+def _log2_quad(log2_f, a: float, b: float, peak_x: float, drop_bits: float = 70.0) -> float:
     """log2 of the integral of 2^log2_f over [a, b].
 
-    The integrand may span thousands of orders of magnitude (log2_f values
-    like -m/2 * 50 at m in the thousands), so the interval is first scouted
-    on refined grids to locate the peak, truncated where the integrand has
-    fallen drop_bits below the peak (discarded mass is relatively ~2^-55 or
-    less), shifted so the peak is O(1), and only then handed to adaptive
-    Gauss-Kronrod quadrature.
+    log2_f must rise (weakly) up to peak_x in [a, b] and fall after it;
+    callers know their integrand's argmax and pass it in.  The integrand
+    may span thousands of orders of magnitude (log2_f values like
+    -m/2 * 50 at m in the thousands), so it is shifted by its peak value
+    log2_f(peak_x), which makes its maximum exactly 1, and the interval is
+    truncated one 129-point grid cell beyond where the integrand has
+    fallen drop_bits below the grid's highest value (discarded mass is
+    relatively ~2^-55 or less).  On a unimodal integrand those cut points
+    are found by bisection on either side of the peak.  Only then is the
+    shifted integrand handed to adaptive Gauss-Kronrod quadrature.
     """
     if not b > a:
         return -math.inf
-    span = b - a
-    inset = span * 1e-12
+    inset = (b - a) * 1e-12
     xs = np.linspace(a + inset, b - inset, 129)
-    gs = np.array([log2_f(float(x)) for x in xs])
-    if not np.any(np.isfinite(gs)):
+    last = len(xs) - 1
+    at = functools.cache(lambda i: log2_f(float(xs[i])))
+    # The grid's highest point is one of the two that bracket the peak.
+    k = int(np.searchsorted(xs, peak_x))
+    j = max((i for i in (k - 1, k) if 0 <= i <= last), key=at)
+    if not at(j) > -math.inf:
         return -math.inf
-    peak = float(np.nanmax(gs))
-    keep = np.where(gs >= peak - drop_bits)[0]
-    lo_i, hi_i = int(keep[0]), int(keep[-1])
-    lo = float(xs[lo_i - 1]) if lo_i > 0 else a
-    hi = float(xs[hi_i + 1]) if hi_i < len(xs) - 1 else b
-    # Two refinement rounds so the scouted peak is within a few bits of the
-    # true maximum; otherwise the shifted integrand could overflow at m ~ 1e4.
-    for n_pts in (129, 65):
-        xs = np.linspace(lo, hi, n_pts)
-        gs = np.array([log2_f(float(x)) for x in xs])
-        j = int(np.nanargmax(gs))
-        peak = max(peak, float(gs[j]))
-        lo2 = float(xs[max(j - 1, 0)])
-        hi2 = float(xs[min(j + 1, n_pts - 1)])
-        peak_scan = np.linspace(lo2, hi2, 33)
-        peak = max(peak, float(np.nanmax(np.array([log2_f(float(x)) for x in peak_scan]))))
+    floor = at(j) - drop_bits
+    # Unimodality makes at(i) >= floor false-then-true on [0, j] and
+    # true-then-false on [j, last], so both ends of the kept run bisect.
+    first = bisect.bisect_left(range(j + 1), True, key=lambda i: at(i) >= floor)
+    final = j - 1 + bisect.bisect_left(
+        range(j, last + 1), True, key=lambda i: not at(i) >= floor
+    )
+    lo = float(xs[first - 1]) if first > 0 else a
+    hi = float(xs[final + 1]) if final < last else b
 
-    shift = peak
+    shift = log2_f(peak_x)
 
     def integrand(x: float) -> float:
         v = log2_f(x) - shift
@@ -298,7 +300,11 @@ def _log2_quad(log2_f, a: float, b: float, drop_bits: float = 70.0) -> float:
 
 
 def log2_sin_power_integral(k: int, lo: float, hi: float) -> float:
-    """log2 of the integral of sin(rho)^k over [lo, hi] in [0, pi], by quadrature."""
+    """log2 of the integral of sin(rho)^k over [lo, hi] in [0, pi], by quadrature.
+
+    sin^k rises up to pi/2 and falls after it, so the peak on [lo, hi] is
+    pi/2 clipped to the window.
+    """
     if not (0.0 <= lo <= math.pi and 0.0 <= hi <= math.pi):
         raise DomainError(f"integration bounds must lie in [0, pi], got [{lo}, {hi}]")
     if not hi > lo:
@@ -310,7 +316,7 @@ def log2_sin_power_integral(k: int, lo: float, hi: float) -> float:
             return -math.inf
         return k * math.log2(s)
 
-    return _log2_quad(g, lo, hi)
+    return _log2_quad(g, lo, hi, min(max(math.pi / 2.0, lo), hi))
 
 
 def _log2_sin_integral_zero_to(k: int, theta: float) -> float:
@@ -386,6 +392,8 @@ def cap_intersection_exponent(n_scale: float, theta: float, omega: float) -> flo
     """
     if not n_scale > 0:
         raise DomainError(f"scale must be > 0, got {n_scale}")
+    if not (math.isfinite(theta) and math.isfinite(omega)):
+        raise DomainError(f"angles must be finite, got theta={theta}, omega={omega}")
     d = math.sin(theta) ** 2 + math.sin(omega) ** 2 - 1.0
     if d <= 0.0:
         raise DomainError(
@@ -394,14 +402,43 @@ def cap_intersection_exponent(n_scale: float, theta: float, omega: float) -> flo
     return LOG2_2PIE + math.log2(n_scale) + math.log2(d)
 
 
+_MIN_PIECE_WIDTH = 1e-9
+
+
+def _lens_piece_log2_integrand(m: int, phi_ref: float):
+    """log2 of sin^(m-2)(rho) I_x((m-2)/2, 1/2), x = 1 - tan^2(phi_ref)/tan^2(rho).
+
+    The integrand of one log_cap_intersection piece; nondecreasing in rho
+    on [phi_ref, pi/2].
+    """
+    a = (m - 2) / 2.0
+    tan_ref = math.tan(phi_ref)
+
+    def g(rho: float) -> float:
+        s = math.sin(rho)
+        if s <= 0.0:
+            return -math.inf
+        t = tan_ref / math.tan(rho)
+        x = min(max(1.0 - t * t, 0.0), 1.0)
+        lb = log2_reg_inc_beta(x, a, 0.5)
+        if lb == -math.inf:
+            return -math.inf
+        return (m - 2) * math.log2(s) + lb
+
+    return g
+
+
 def log_cap_intersection(m: int, n_scale: float, theta1: float, theta2: float) -> LogMeasure:
     """Area of the intersection of two caps with orthogonal poles.
 
     The caps have half-angles theta1, theta2 <= pi/2 with theta1 + theta2 >
     pi/2 on the sphere of radius sqrt(m * n_scale).  The hyperplane through
     the boundary circle splits the lens into two pieces; each piece is an
-    integral over (m-2)-dimensional sub-caps whose fraction is a regularized
-    incomplete beta, and the two pieces are quadratured in the log domain.
+    integral over rho in [phi_ref, theta_cap] of sin^(m-2)(rho) times the
+    fraction I_x((m-2)/2, 1/2), x = 1 - tan^2(phi_ref)/tan^2(rho), of an
+    (m-2)-dimensional sub-sphere.  On that interval (inside (0, pi/2]) sin
+    rho, x and I_x all increase, so each integrand peaks at theta_cap, and
+    the log-domain quadrature is told so instead of searching for it.
     """
     if m < 4:
         raise DomainError(f"cap intersection needs m >= 4, got {m}")
@@ -420,7 +457,6 @@ def log_cap_intersection(m: int, n_scale: float, theta1: float, theta2: float) -
 
     # Radius sqrt(m * n_scale) enters through (pi m N)^((m-1)/2) in the front.
     log2_front = ((m - 1) / 2.0) * math.log2(math.pi * m * n_scale) - _log2_gamma((m - 1) / 2.0)
-    a = (m - 2) / 2.0
     phi = math.atan2(math.cos(theta1), math.cos(theta2))
 
     def piece(phi_ref: float, theta_cap: float) -> float:
@@ -428,22 +464,10 @@ def log_cap_intersection(m: int, n_scale: float, theta1: float, theta2: float) -
         # (cos(pi/2) rounds to 6.1e-17, leaving a one-ulp sliver on which the
         # integrand is numerical noise); its true contribution is relatively
         # below 2^-25 everywhere in the valid domain, so drop it.
-        if theta_cap - phi_ref <= 1e-9:
+        if theta_cap - phi_ref <= _MIN_PIECE_WIDTH:
             return -math.inf
-        tan_ref = math.tan(phi_ref)
-
-        def g(rho: float) -> float:
-            s = math.sin(rho)
-            if s <= 0.0:
-                return -math.inf
-            t = tan_ref / math.tan(rho)
-            x = min(max(1.0 - t * t, 0.0), 1.0)
-            lb = log2_reg_inc_beta(x, a, 0.5)
-            if lb == -math.inf:
-                return -math.inf
-            return (m - 2) * math.log2(s) + lb
-
-        return log2_front + _log2_quad(g, phi_ref, theta_cap)
+        g = _lens_piece_log2_integrand(m, phi_ref)
+        return log2_front + _log2_quad(g, phi_ref, theta_cap, theta_cap)
 
     j1 = piece(phi, theta2)
     j2 = piece(math.pi / 2.0 - phi, theta1)

@@ -64,7 +64,7 @@ def test_01_upper_bound_below_full_cooperation_with_certified_margin():
         params = ChannelParams.from_snr(snr)
         ci = capacity_full_cooperation(params)
         for c0 in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-            ub = capacity_upper_bound(params, c0, 1e-9)
+            ub = capacity_upper_bound(params, c0)
             cert = gap_certificate(params, c0)
             margin = ci - ub
             worst = min(worst, margin - cert.gap_lower_bound)
@@ -106,7 +106,7 @@ def test_04_bound_ordering_on_grid():
     params = ChannelParams(1.0, 1.0)
     grid = np.linspace(0.1, 3.0, 60)
     cuts = [cutset_bound(params, float(c)) for c in grid]
-    ubs = [capacity_upper_bound(params, float(c), 1e-8) for c in grid]
+    ubs = [capacity_upper_bound(params, float(c)) for c in grid]
     cfs = [compress_forward_rate(params, float(c)) for c in grid]
     ci = capacity_full_cooperation(params)
     thr = cutset_c0_threshold(params)

@@ -127,7 +127,7 @@ class TestKernel:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_conditional_entropy_minimum_vanishes_at_pi_half(self):
-        r = minimize_entropy_difference(P11, HALF_PI, 1e-9)
+        r = minimize_entropy_difference(P11, HALF_PI)
         # at theta = pi/2 the two bounds coincide (log sin = 0)
         assert abs(r.value) <= 1e-6
 
@@ -135,7 +135,7 @@ class TestKernel:
 class TestMinimize:
     @pytest.mark.parametrize("theta", [0.3, 0.8, 1.3, HALF_PI])
     def test_against_dense_grid(self, theta):
-        r = minimize_entropy_difference(P11, theta, 1e-9)
+        r = minimize_entropy_difference(P11, theta)
         grid = np.linspace(HALF_PI - theta + 1e-9, HALF_PI, 1_000_000)
         dense = float(np.min(np_kernel(1.0, 1.0, theta, grid)))
         assert r.value <= dense + 1e-9
@@ -143,24 +143,18 @@ class TestMinimize:
 
     def test_never_exceeds_right_endpoint(self):
         for theta in (0.2, 0.7, 1.1, HALF_PI):
-            r = minimize_entropy_difference(P11, theta, 1e-9)
+            r = minimize_entropy_difference(P11, theta)
             assert r.value <= entropy_difference_bound(P11, theta, HALF_PI) + 1e-15
 
     def test_minimizer_in_open_interval(self):
         for theta in (0.4, 1.0, HALF_PI):
-            r = minimize_entropy_difference(P11, theta, 1e-9)
+            r = minimize_entropy_difference(P11, theta)
             assert HALF_PI - theta < r.omega_star <= HALF_PI
             assert math.isfinite(r.value)
 
-    def test_tolerance_stability(self):
-        for theta in (0.5, 1.2):
-            prev = minimize_entropy_difference(P11, theta, 1e-6).value
-            halved = minimize_entropy_difference(P11, theta, 5e-7).value
-            assert abs(halved - prev) <= 1e-6
-
     def test_domain_error_at_zero(self):
         with pytest.raises(DomainError):
-            minimize_entropy_difference(P11, 0.0, 1e-9)
+            minimize_entropy_difference(P11, 0.0)
 
 
 class TestCutset:
@@ -176,23 +170,23 @@ class TestCutset:
 
 class TestUpperBound:
     def test_zero_pipe_equals_direct_capacity(self):
-        assert capacity_upper_bound(P11, 0.0, 1e-9) == pytest.approx(0.5, abs=1e-9)
+        assert capacity_upper_bound(P11, 0.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_strictly_below_full_cooperation(self):
         ci = capacity_full_cooperation(P11)
         for c0 in (0.1, 0.5, 1.0, 2.0, 5.0):
-            assert capacity_upper_bound(P11, c0, 1e-9) < ci
+            assert capacity_upper_bound(P11, c0) < ci
 
     def test_never_exceeds_cutset(self):
         for c0 in (0.05, 0.3, 1.0, 3.0):
-            assert capacity_upper_bound(P11, c0, 1e-9) <= cutset_bound(P11, c0) + 1e-9
+            assert capacity_upper_bound(P11, c0) <= cutset_bound(P11, c0) + 1e-9
 
     def test_at_least_direct_capacity(self):
         for c0 in (0.01, 0.5, 4.0):
-            assert capacity_upper_bound(P11, c0, 1e-9) >= capacity_no_relay(P11) - 1e-12
+            assert capacity_upper_bound(P11, c0) >= capacity_no_relay(P11) - 1e-12
 
     def test_monotone_in_c0(self):
-        vals = [capacity_upper_bound(P11, c0, 1e-9) for c0 in np.linspace(0.05, 4.0, 25)]
+        vals = [capacity_upper_bound(P11, c0) for c0 in np.linspace(0.05, 4.0, 25)]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_against_brute_force_grid(self):
@@ -206,17 +200,17 @@ class TestUpperBound:
             inner = float(np.min(np_kernel(1.0, 1.0, float(theta), omegas)))
             best = max(best, min(c0 + math.log2(math.sin(theta)), inner))
         brute = capacity_no_relay(P11) + best
-        ours = capacity_upper_bound(P11, c0, 1e-9)
+        ours = capacity_upper_bound(P11, c0)
         assert ours >= brute - 1e-9
         assert abs(ours - brute) <= 5e-5
 
     def test_infinite_c0_rejected(self):
         with pytest.raises(InvalidInput):
-            capacity_upper_bound(P11, math.inf, 1e-9)
+            capacity_upper_bound(P11, math.inf)
 
     def test_negative_c0_rejected(self):
         with pytest.raises(InvalidInput):
-            capacity_upper_bound(P11, -1.0, 1e-9)
+            capacity_upper_bound(P11, -1.0)
 
 
 class TestGapCertificate:
@@ -261,7 +255,7 @@ class TestGapCertificate:
     def test_upper_bound_respects_certificate(self, snr, c0):
         p = ChannelParams.from_snr(snr)
         cert = gap_certificate(p, c0)
-        ub = capacity_upper_bound(p, c0, 1e-9)
+        ub = capacity_upper_bound(p, c0)
         assert capacity_full_cooperation(p) - ub >= cert.gap_lower_bound - 1e-6
 
     @pytest.mark.parametrize("c0", [20.0, 30.0, 60.0])
@@ -335,14 +329,14 @@ class TestCompressForward:
     def test_below_both_bounds(self):
         for c0 in (0.1, 0.7, 2.0):
             cf = compress_forward_rate(P11, c0)
-            assert cf <= capacity_upper_bound(P11, c0, 1e-9) + 1e-9
+            assert cf <= capacity_upper_bound(P11, c0) + 1e-9
             assert cf <= cutset_bound(P11, c0) + 1e-12
 
 
 class TestSweep:
     def test_families_and_order(self):
         grid = [0.2, 0.5, 1.0]
-        curves = sweep(P11, grid, 1e-7)
+        curves = sweep(P11, grid)
         assert [c.family for c in curves] == [
             BoundFamily.CUTSET,
             BoundFamily.NEW_BOUND,
@@ -352,20 +346,20 @@ class TestSweep:
             assert [pt[0] for pt in c.points] == grid
 
     def test_singleton_grid(self):
-        curves = sweep(P11, [1.0], 1e-7)
+        curves = sweep(P11, [1.0])
         assert all(len(c.points) == 1 for c in curves)
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInput):
-            sweep(P11, [], 1e-7)
+            sweep(P11, [])
         with pytest.raises(InvalidInput):
-            sweep(P11, [0.5, 0.5], 1e-7)
+            sweep(P11, [0.5, 0.5])
         with pytest.raises(InvalidInput):
-            sweep(P11, [0.5, math.inf], 1e-7)
+            sweep(P11, [0.5, math.inf])
 
     def test_point_failure_names_offender(self):
         with pytest.raises(NumericalError, match="C0=-1.0"):
-            sweep(P11, [-1.0, 0.5], 1e-7)
+            sweep(P11, [-1.0, 0.5])
 
 
 # ---------------------------------------------------------------------------

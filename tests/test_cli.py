@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from relaycap.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -24,7 +29,7 @@ class TestBoundsSweep:
     def test_row_count_and_columns(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds-sweep", "--snr", "1", "--c0-min", "0.1",
-            "--c0-max", "1.0", "--c0-steps", "4", "--tol", "1e-7",
+            "--c0-max", "1.0", "--c0-steps", "4",
         )
         assert code == EXIT_OK
         doc = json.loads(out)
@@ -64,7 +69,7 @@ class TestBoundsSweep:
     def test_numerical_failure_names_point(self, capsys, monkeypatch):
         import relaycap.bounds as bmod
 
-        def boom(params, c0, tol=1e-9):
+        def boom(params, c0):
             raise FloatingPointError("synthetic")
 
         monkeypatch.setattr(bmod, "capacity_upper_bound", boom)
@@ -87,6 +92,17 @@ class TestBoundsSweep:
         for row in json.loads(out)["rows"]:
             assert math.isfinite(row["new_bound"])
             assert row["new_bound"] <= row["cutset"] <= row["c_infinity"]
+
+
+    def test_tol_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds-sweep", "--snr", "1", "--c0-steps", "1", "--tol", "1e-7"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_params_have_no_tol(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds-sweep", "--snr", "1", "--c0-steps", "1")
+        assert code == EXIT_OK
+        assert "tol" not in json.loads(out)["params"]
 
 
 class TestGap:
@@ -280,3 +296,98 @@ class TestOutput:
         # full float precision survives a JSON round trip
         row = json.loads(out)["rows"][0]
         assert row["c_infinity"] == 0.5 * math.log2(3.0)
+
+
+class TestExitCodes:
+    def test_internal_math_domain_error_is_numerical(self, capsys, monkeypatch):
+        import relaycap.geometry as gmod
+
+        def boom(*args):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(gmod, "log_cap_intersection", boom)
+        code, out, err = run_cli(
+            capsys, "geom", "cap-intersect", "--m", "100", "--theta", "1.2",
+            "--theta2", "0.7",
+        )
+        assert code == EXIT_NUMERICAL
+        assert not out
+        assert "math domain error" in err
+
+    def test_internal_arithmetic_error_is_numerical(self, capsys, monkeypatch):
+        import relaycap.geometry as gmod
+
+        def boom(*args):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(gmod, "log_ball_intersection", boom)
+        code, _, _ = run_cli(
+            capsys, "geom", "ball-intersect", "--m", "100", "--r1", "1",
+            "--r2", "1", "--d", "1",
+        )
+        assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("snr", ["-1", "0", "nan", "inf"])
+    def test_invalid_snr_is_usage(self, capsys, snr):
+        code, out, err = run_cli(capsys, "bounds-sweep", "--snr", snr, "--c0-steps", "1")
+        assert code == EXIT_USAGE
+        assert not out
+        assert "invalid input" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["geom", "cap-area", "--m", "100", "--theta", "1", "--n-scale", "-1"],
+        ["geom", "cap-area", "--m", "-5", "--theta", "1"],
+        ["geom", "exponent", "--theta", "1.2", "--omega", "inf"],
+    ])
+    def test_invalid_geometry_input_is_usage(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "invalid input" in err
+
+
+class TestParserReuse:
+    """main() shares one parser per process; no state may carry between calls."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_append_starts_fresh(self, capsys):
+        for snr in ("2", "3"):
+            code, out, _ = run_cli(capsys, "bounds-sweep", "--snr", snr, "--c0-steps", "1")
+            assert code == EXIT_OK
+            doc = json.loads(out)
+            assert doc["params"]["snr"] == [float(snr)]
+            assert [row["snr"] for row in doc["rows"]] == [float(snr)]
+
+    def test_default_snr_after_explicit_snr(self, capsys):
+        run_cli(capsys, "bounds-sweep", "--snr", "2", "--c0-steps", "1")
+        code, out, _ = run_cli(capsys, "bounds-sweep", "--c0-steps", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["params"]["snr"] == [0.1, 1.0, 10.0]
+
+    def test_deg_does_not_leak(self, capsys):
+        code, out, _ = run_cli(capsys, "geom", "exponent", "--theta", "90",
+                               "--omega", "90", "--deg")
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0]["theta"] == math.pi / 2.0
+        code, out, _ = run_cli(capsys, "geom", "exponent", "--theta", "1.2",
+                               "--omega", "0.7")
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0]["theta"] == 1.2
+
+    def test_parse_error_between_calls(self, capsys):
+        argv = ["geom", "cap-intersect", "--m", "300", "--theta", "70",
+                "--theta2", "35", "--deg"]
+        first, _, _ = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["geom", "cap-intersect", "--m", "300", "--theta", "70",
+                  "--bogus", "1"])
+        assert exc.value.code == EXIT_USAGE
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, *argv)
+        assert first == code == EXIT_OK
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        fresh = subprocess.run([sys.executable, "-m", "relaycap", *argv],
+                               capture_output=True, env=env, check=True)
+        assert out.encode() == fresh.stdout

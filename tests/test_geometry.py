@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
 
@@ -24,9 +26,24 @@ from relaycap import (
     log_sphere_area,
     reg_inc_beta,
 )
-from relaycap.geometry import LOG2_2PIE, log2_reg_inc_beta, log2_sin_power_integral
+from relaycap import geometry
+from relaycap.geometry import (
+    LOG2_2PIE,
+    _lens_piece_log2_integrand,
+    _log2_sin_integral_zero_to,
+    log2_reg_inc_beta,
+    log2_sin_power_integral,
+)
 
 deg = math.radians
+HALF_PI = math.pi / 2
+
+
+def _closed_window(k, lo, hi):
+    """log2 of the sin^k integral over [lo, hi] in [0, pi/2], from the beta form."""
+    upper = _log2_sin_integral_zero_to(k, hi)
+    lower = _log2_sin_integral_zero_to(k, lo)
+    return upper + math.log2(-math.expm1((lower - upper) * math.log(2.0)))
 
 
 class TestRegIncBeta:
@@ -196,8 +213,53 @@ class TestSinPowerIntegral:
     def test_empty(self):
         assert log2_sin_power_integral(5, 1.0, 1.0) == -math.inf
 
+    @pytest.mark.parametrize("k", [3, 50, 1000, 10**5])
+    @pytest.mark.parametrize("lo, hi", [(0.3, 1.2), (1.9, 2.8), (1.0, 2.2)])
+    def test_against_closed_form_windows(self, k, lo, hi):
+        # windows below, above and across the peak at pi/2; the part above
+        # pi/2 is reflected onto [0, pi/2], where the beta form has no
+        # cancellation
+        if hi <= HALF_PI:
+            ref = _closed_window(k, lo, hi)
+        elif lo >= HALF_PI:
+            ref = _closed_window(k, math.pi - hi, math.pi - lo)
+        else:
+            ref = float(np.logaddexp2(_closed_window(k, lo, HALF_PI),
+                                      _closed_window(k, math.pi - hi, HALF_PI)))
+        assert log2_sin_power_integral(k, lo, hi) == pytest.approx(ref, abs=1e-9)
+
 
 class TestCapIntersection:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(4, 10**6),
+        theta1=st.floats(0.0, HALF_PI, exclude_min=True),
+        theta2=st.floats(0.0, HALF_PI, exclude_min=True),
+    )
+    def test_piece_integrands_nondecreasing(self, m, theta1, theta2):
+        # the quadrature takes each piece's peak at theta_cap on this premise
+        assume(math.sin(theta1) ** 2 + math.sin(theta2) ** 2 - 1.0 > 0.0)
+        phi = math.atan2(math.cos(theta1), math.cos(theta2))
+        for phi_ref, theta_cap in ((phi, theta2), (HALF_PI - phi, theta1)):
+            if theta_cap - phi_ref <= geometry._MIN_PIECE_WIDTH:
+                continue
+            g = _lens_piece_log2_integrand(m, phi_ref)
+            vals = [g(float(r)) for r in np.linspace(phi_ref, theta_cap, 65)]
+            assert all(b >= a for a, b in zip(vals, vals[1:])), (phi_ref, theta_cap)
+
+    def test_incomplete_beta_call_budget(self, monkeypatch):
+        calls = 0
+        inner = geometry.log2_reg_inc_beta
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(geometry, "log2_reg_inc_beta", counted)
+        log_cap_intersection(10_000, 1.0, deg(70), deg(35))
+        assert 0 < calls <= 400
+
     def test_hemisphere_halves_the_other_cap(self):
         for m in (50, 300, 1000):
             v = log_cap_intersection(m, 1.0, math.pi / 2, deg(40)).log2_value
