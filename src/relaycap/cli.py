@@ -197,7 +197,7 @@ def _cmd_geom(args) -> int:
         spec = geometry.CapSpec(args.m, math.sqrt(args.m * n), theta)
         value = geometry.log_cap_area(spec).log2_value
         exponent = (args.m / 2.0) * (
-            geometry.LOG2_2PIE + math.log2(n) + math.log2(math.sin(theta) ** 2)
+            geometry.LOG2_2PIE + math.log2(n) + 2.0 * math.log2(math.sin(theta))
         )
         record = OutputRecord(
             "geom cap-area",

@@ -25,6 +25,7 @@ and safe to evaluate in parallel with results reduced in trial order.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -396,6 +397,15 @@ class ShellSet:
 # ---------------------------------------------------------------------------
 
 
+def _arccos_clamped(cb: float, c: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """arccos((cb - c) / denom), the argument clamped to [-1, 1], in one buffer."""
+    x = np.subtract(cb, c)
+    x /= denom
+    np.maximum(x, -1.0, out=x)
+    np.minimum(x, 1.0, out=x)
+    return np.arccos(x, out=x)
+
+
 def estimate_cap_intersection(
     sphere_set: SphereSet,
     y_hat: np.ndarray,
@@ -427,47 +437,65 @@ def estimate_cap_intersection(
 
     y_hat = np.asarray(y_hat, dtype=float)
     y_hat = y_hat / np.linalg.norm(y_hat)
-    cy = float(np.clip(y_hat @ sphere_set.axis, -1.0, 1.0))
+    cy = min(max(float(y_hat @ sphere_set.axis), -1.0), 1.0)
     ca = max(math.sqrt(max(0.0, 1.0 - cy * cy)), 1e-300)
 
-    rho = beta * rng.random(k)
+    rho = rng.random(k)
+    rho *= beta
     v = rng.random(k)
-    cos_rho = np.cos(rho)
-    sin_rho = np.sin(rho)
-    denom = np.maximum(sin_rho * ca, 1e-300)
+    c = np.cos(rho)
+    c *= cy
+    sin_rho = np.sin(rho, out=rho)
+    denom = sin_rho * ca
+    np.maximum(denom, 1e-300, out=denom)
 
-    ivs = sphere_set.intervals
-    psi_lo = np.empty((k, len(ivs)))
-    lengths = np.empty((k, len(ivs)))
-    for j, (lo, hi) in enumerate(ivs):
-        cb_lo, cb_hi = math.cos(hi), math.cos(lo)
-        a_cos = np.clip((cb_lo - cos_rho * cy) / denom, -1.0, 1.0)
-        b_cos = np.clip((cb_hi - cos_rho * cy) / denom, -1.0, 1.0)
-        p_lo = np.arccos(b_cos)
-        p_hi = np.arccos(a_cos)
-        psi_lo[:, j] = p_lo
-        lengths[:, j] = np.maximum(p_hi - p_lo, 0.0)
+    # Per interval, the psi range where the sample lies in it, [p_lo, p_lo +
+    # length]; target = v * total is spread over the intervals in order.
+    p_los, cums = [], []
+    total = None
+    for lo, hi in sphere_set.intervals:
+        p_lo = _arccos_clamped(math.cos(lo), c, denom)
+        length = _arccos_clamped(math.cos(hi), c, denom)
+        length -= p_lo
+        np.maximum(length, 0.0, out=length)
+        total = length if total is None else total + length
+        p_los.append(p_lo)
+        cums.append(total)
+    target = v
+    target *= total
+    psi = p_los[0] + target
+    for p_lo, prev in zip(p_los[1:], cums):
+        np.add(p_lo, target - prev, out=psi, where=target > prev)
+    np.maximum(psi, 0.0, out=psi)
+    np.minimum(psi, math.pi, out=psi)
 
-    total = lengths.sum(axis=1)
-    cum = np.cumsum(lengths, axis=1)
-    target = v * total
-    seg = np.minimum((target[:, None] > cum).sum(axis=1), len(ivs) - 1)
-    prev = np.where(seg > 0, np.take_along_axis(cum, np.maximum(seg - 1, 0)[:, None], 1)[:, 0], 0.0)
-    psi = np.take_along_axis(psi_lo, seg[:, None], 1)[:, 0] + (target - prev)
-    psi = np.clip(psi, 0.0, math.pi)
-
+    # A sample with an empty psi range has weight exactly 0 (log2(0) = -inf).
+    # Weighting only the live samples keeps log2 and exp2 off their slow
+    # special-value paths; the zeros are put back before the sums.
+    live = (total != 0.0).nonzero()[0]
+    if live.size < k:
+        total, sin_rho, psi = total[live], sin_rho[live], psi[live]
     with np.errstate(divide="ignore"):
-        log_w = (
-            np.log2(total)
-            + (m - 2) * np.log2(sin_rho)
-            + (m - 3) * np.log2(np.sin(psi))
-        )
+        log_w = np.log2(total, out=total)
+        np.log2(sin_rho, out=sin_rho)
+        sin_rho *= m - 2
+        log_w += sin_rho
+        np.sin(psi, out=psi)
+        np.log2(psi, out=psi)
+        psi *= m - 3
+        log_w += psi
 
-    w_max = float(np.max(log_w))
+    w_max = float(np.maximum.reduce(log_w)) if live.size else -math.inf
     if w_max == -math.inf:
         return -math.inf, math.inf
-    w = np.exp2(log_w - w_max)
-    s = float(w.sum())
+    log_w -= w_max
+    np.exp2(log_w, out=log_w)
+    if live.size < k:
+        w = np.zeros(k)
+        w[live] = log_w
+    else:
+        w = log_w
+    s = float(np.add.reduce(w))
     const = (
         math.log2(beta)
         - math.log2(k)
@@ -475,9 +503,14 @@ def estimate_cap_intersection(
         + geometry.log_sphere_area(m - 2, 1.0).log2_value
     )
     log2_est = const + w_max + math.log2(s)
+    if k == 1:
+        return log2_est, math.inf
+    # Sample standard deviation by the steps of ndarray.std(ddof=1).
     mean = s / k
-    se_rel = float(w.std(ddof=1)) / (math.sqrt(k) * mean) if k > 1 else math.inf
-    return log2_est, se_rel / LN2
+    w -= mean
+    w *= w
+    sd = math.sqrt(float(np.add.reduce(w)) / (k - 1))
+    return log2_est, sd / (math.sqrt(k) * mean) / LN2
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +591,10 @@ def verify_concentration(m: int, mu_cut: float, cfg: McConfig) -> McReport:
     one_sided_hits = int(np.count_nonzero(cos1 >= mu_cut))
     estimate = hits / n
     se = _binomial_se(estimate, n)
-    threshold = min(1.0, 1.0 / (m * mu_cut * mu_cut))
+    # Chebyshev's 1/(m mu^2), capped at the vacuous 1; m mu^2 underflows to 0
+    # for mu below ~1e-155, where the cap applies anyway.
+    x = m * mu_cut * mu_cut
+    threshold = 1.0 if x <= 1.0 else 1.0 / x
     return McReport(
         estimate=estimate,
         std_error=se,
@@ -602,52 +638,29 @@ def verify_blowup(m: int, sphere_set: SphereSet, epsilon: float, cfg: McConfig) 
 
 
 def _isoperimetry_trials(
-    trial_estimate, trials: int, log2_required: float, cfg: McConfig
+    target: SphereSet | ShellSet,
+    angular: SphereSet,
+    omega: float,
+    radius: float,
+    log2_v: Callable[[float], float],
+    log2_offset: float,
+    cfg: McConfig,
 ) -> McReport:
-    successes = 0
-    margins = []
-    for t in range(trials):
-        log2_est, _ = trial_estimate(t)
-        margin = log2_est - log2_required
-        margins.append(margin)
-        if margin > 0.0:
-            successes += 1
-    estimate = successes / trials
-    se = _binomial_se(estimate, trials)
-    threshold = 1.0 - cfg.epsilon
-    finite = [x for x in margins if math.isfinite(x)]
-    return McReport(
-        estimate=estimate,
-        std_error=se,
-        n_used=trials,
-        threshold=threshold,
-        verdict=_verdict(estimate, threshold, se, ">="),
-        seed=cfg.seed,
-        details={
-            "log2_required": log2_required,
-            "margin_bits_min": min(margins) if margins else math.nan,
-            "margin_bits_median": float(np.median(finite)) if finite else -math.inf,
-            "successes": successes,
-        },
-    )
+    """Shared cap-intersection verification loop.
 
-
-def verify_isoperimetry_sphere(
-    m: int, sphere_set: SphereSet, omega: float, cfg: McConfig, n_scale: float = 1.0
-) -> McReport:
-    """Cap-intersection verification on the sphere.
-
-    Per trial, a uniform Y is drawn, mu(A intersect Cap(Y, omega + slack))
-    is estimated with cfg.samples_per_estimate importance samples, and the
-    trial succeeds when the estimate exceeds (1 - epsilon) times the
-    orthogonal-pole intersection volume V computed by quadrature.  The
+    `target` is the set whose effective angle theta is verified (a SphereSet
+    or a ShellSet) and `angular` the sphere set the estimator samples at
+    `radius`.  `log2_v(theta)` gives log2 of the orthogonal-pole
+    intersection volume V, and `log2_offset` is added to every estimate.
+    Per trial, a uniform Y is drawn, mu(angular intersect Cap(Y, omega +
+    slack)) is estimated with cfg.samples_per_estimate importance samples,
+    and the trial succeeds when the estimate exceeds (1 - epsilon) V.  The
     report compares the success fraction with 1 - epsilon.
     """
-    if sphere_set.m != m:
-        raise DomainError("set dimension does not match m")
+    m = angular.m
     if m < 4:
         raise DomainError(f"need m >= 4, got {m}")
-    theta = sphere_set.effective_theta
+    theta = target.effective_theta
     if not 0.0 < theta <= HALF_PI:
         raise DomainError(f"effective angle must lie in (0, pi/2], got {theta}")
     if not 0.0 < omega <= HALF_PI:
@@ -656,23 +669,65 @@ def verify_isoperimetry_sphere(
         raise DomainError(
             f"need theta + omega > pi/2, got {theta} + {omega} = {theta + omega}"
         )
-    radius = math.sqrt(m * n_scale)
-    v_log2 = geometry.log_cap_intersection(m, n_scale, theta, omega).log2_value
+    v_log2 = log2_v(theta)
     log2_required = math.log2(1.0 - cfg.epsilon) + v_log2
     beta = min(omega + cfg.slack, math.pi)
 
-    def trial_estimate(t: int) -> tuple[float, float]:
+    successes = 0
+    margins = []
+    for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
         y = rng.standard_normal(m)
-        return estimate_cap_intersection(
-            sphere_set, y, beta, cfg.samples_per_estimate, rng, radius
+        log2_est, _ = estimate_cap_intersection(
+            angular, y, beta, cfg.samples_per_estimate, rng, radius
         )
-
-    report = _isoperimetry_trials(trial_estimate, cfg.trials, log2_required, cfg)
-    report.details.update(
-        {"m": m, "theta": theta, "omega": omega, "beta": beta, "log2_V": v_log2}
+        margin = log2_est + log2_offset - log2_required
+        margins.append(margin)
+        if margin > 0.0:
+            successes += 1
+    estimate = successes / cfg.trials
+    se = _binomial_se(estimate, cfg.trials)
+    threshold = 1.0 - cfg.epsilon
+    finite = [x for x in margins if math.isfinite(x)]
+    return McReport(
+        estimate=estimate,
+        std_error=se,
+        n_used=cfg.trials,
+        threshold=threshold,
+        verdict=_verdict(estimate, threshold, se, ">="),
+        seed=cfg.seed,
+        details={
+            "log2_required": log2_required,
+            "margin_bits_min": min(margins),
+            "margin_bits_median": float(np.median(finite)) if finite else -math.inf,
+            "successes": successes,
+            "m": m,
+            "theta": theta,
+            "omega": omega,
+            "beta": beta,
+            "log2_V": v_log2,
+        },
     )
-    return report
+
+
+def verify_isoperimetry_sphere(
+    m: int, sphere_set: SphereSet, omega: float, cfg: McConfig, n_scale: float = 1.0
+) -> McReport:
+    """Cap-intersection verification on the sphere of radius sqrt(m n_scale).
+
+    V is the orthogonal-pole cap intersection volume by quadrature.
+    """
+    if sphere_set.m != m:
+        raise DomainError("set dimension does not match m")
+    return _isoperimetry_trials(
+        sphere_set,
+        sphere_set,
+        omega,
+        math.sqrt(m * n_scale),
+        lambda theta: geometry.log_cap_intersection(m, n_scale, theta, omega).log2_value,
+        0.0,
+        cfg,
+    )
 
 
 def verify_isoperimetry_shell(shell_set: ShellSet, omega: float, cfg: McConfig) -> McReport:
@@ -685,35 +740,16 @@ def verify_isoperimetry_shell(shell_set: ShellSet, omega: float, cfg: McConfig) 
     any rotationally invariant law on the shell, cannot change the result,
     so it is not drawn.
     """
-    spec = shell_set.spec
-    m = spec.m
-    if m < 4:
-        raise DomainError(f"need m >= 4, got {m}")
-    theta = shell_set.effective_theta
-    if not 0.0 < theta <= HALF_PI:
-        raise DomainError(f"effective angle must lie in (0, pi/2], got {theta}")
-    if not 0.0 < omega <= HALF_PI:
-        raise DomainError(f"omega must lie in (0, pi/2], got {omega}")
-    if theta + omega <= HALF_PI:
-        raise DomainError(
-            f"need theta + omega > pi/2, got {theta} + {omega} = {theta + omega}"
-        )
-    v_log2 = geometry.log_shellcap_intersection_bounds(spec, theta, omega).exact.log2_value
-    log2_required = math.log2(1.0 - cfg.epsilon) + v_log2
-    beta = min(omega + cfg.slack, math.pi)
-    radius = shell_set.base_radius
-    log2_radial = shell_set.log2_radial_part()
+    def log2_v(theta: float) -> float:
+        bounds = geometry.log_shellcap_intersection_bounds(shell_set.spec, theta, omega)
+        return bounds.exact.log2_value
 
-    def trial_estimate(t: int) -> tuple[float, float]:
-        rng = trial_rng(cfg.seed, t)
-        y = rng.standard_normal(m)
-        est, se = estimate_cap_intersection(
-            shell_set.angular, y, beta, cfg.samples_per_estimate, rng, radius
-        )
-        return est + log2_radial, se
-
-    report = _isoperimetry_trials(trial_estimate, cfg.trials, log2_required, cfg)
-    report.details.update(
-        {"m": m, "theta": theta, "omega": omega, "beta": beta, "log2_V": v_log2}
+    return _isoperimetry_trials(
+        shell_set,
+        shell_set.angular,
+        omega,
+        shell_set.base_radius,
+        log2_v,
+        shell_set.log2_radial_part(),
+        cfg,
     )
-    return report

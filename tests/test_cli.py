@@ -189,6 +189,17 @@ class TestGeom:
         assert code == EXIT_USAGE
         assert "pi/2" in err
 
+    def test_cap_area_exponent_at_tiny_angle(self, capsys):
+        # sin(theta)^2 underflows to 0 here; 2 log2 sin(theta) does not.
+        # CSV, because the record's log2_measure is -inf (not a JSON number).
+        code, out, _ = run_cli(capsys, "geom", "cap-area", "--m", "100", "--theta", "1e-300",
+                               "--format", "csv")
+        assert code == EXIT_OK
+        header, row = out.splitlines()
+        exponent = float(dict(zip(header.split(","), row.split(",")))["asymptotic_exponent"])
+        assert exponent == pytest.approx(50 * (math.log2(2 * math.pi * math.e)
+                                               + 2 * math.log2(1e-300)), rel=1e-12)
+
 
 class TestMc:
     def test_concentration_vacuous(self, capsys):
@@ -201,6 +212,15 @@ class TestMc:
         assert row["verdict"] == "pass"
         assert row["threshold"] == 1.0
         assert row["seed"] == 3
+
+    def test_concentration_threshold_at_tiny_mu(self, capsys):
+        # m mu^2 underflows to 0: the threshold is the vacuous 1, not 1/0
+        code, out, _ = run_cli(
+            capsys, "mc", "concentration", "--m", "50", "--mu", "1e-300",
+            "--samples", "1000", "--seed", "3",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0]["threshold"] == 1.0
 
     def test_blowup(self, capsys):
         code, out, _ = run_cli(

@@ -266,6 +266,63 @@ class TestIntersectionEstimator:
         b = estimate_cap_intersection(s, y, deg(50), 5_000, trial_rng(13, 3), 1.0)
         assert a == b
 
+    # Sets built from explicit angles, so the pinned bits depend on the
+    # estimator alone and not on the effective-angle solvers.
+    BITS_SETS = {
+        "cap": lambda m: SphereSet.cap(m, deg(70)),
+        "cap(pi)": lambda m: SphereSet.cap(m, math.pi),
+        "band": lambda m: SphereSet.band(m, HALF_PI, 0.3),
+        "twocaps": lambda m: SphereSet.two_cap_union(m, deg(50), deg(60)),
+        "3 bands": lambda m: SphereSet(
+            m, ((deg(10), deg(30)), (deg(60), deg(100)), (deg(140), deg(170))), np.eye(m)[0]
+        ),
+    }
+    # (set, m, beta, samples, y) -> float.hex of (estimate, se); y is "+axis",
+    # "-axis" (cy = +-1 exactly) or "rng" (a Gaussian draw from the trial's
+    # stream, which then feeds the estimator, as the verifiers do).  Recorded
+    # from the earlier (samples x intervals) formulation of the estimator,
+    # with numpy 2.4 on x86-64; seeded mc output is byte-stable only while
+    # these hold.
+    BITS_PINNED = [
+        ("cap", 7, deg(40) + 0.1, 1000, "rng", "0x1.69a0a52dda58ep+2", "0x1.fa65730f441d5p-4"),
+        ("cap", 7, math.pi, 2, "rng", "0x1.99ca383110a44p+2", "0x1.7150ecee882fep+0"),
+        ("band", 7, deg(40) + 0.1, 1000, "rng", "0x1.f0217e25983c0p+2", "0x1.f20747ab4150ap-5"),
+        ("band", 7, math.pi, 2, "rng", "0x1.8b87af9e790e6p+3", "0x1.53ae6d956427cp-1"),
+        ("twocaps", 7, deg(40) + 0.1, 1000, "rng", "0x1.99ae935e1ed1cp+0", "0x1.af7536b7cbe70p-3"),
+        ("twocaps", 7, math.pi, 2, "rng", "0x1.a3d89cc18277cp+1", "0x1.70c38ed52a497p+0"),
+        ("cap(pi)", 7, deg(35) + 0.1, 1000, "rng", "0x1.d8cb7c9f05604p+2", "0x1.97fe3143db63ep-4"),
+        ("cap", 7, 1e-9, 1000, "+axis", "-0x1.535f6736e5fbcp+7", "0x1.a199a5bea6b1cp-4"),
+        ("cap", 7, 1e-9, 1, "rng", "-inf", "inf"),
+        ("twocaps", 7, 0.5, 1000, "-axis", "0x1.24116a6bf2e18p+2", "0x1.a1eaff0056a09p-4"),
+        ("band", 7, HALF_PI + 0.05, 1000, "+axis", "0x1.77be1c51427b0p+3", "0x1.0aa2f1572dd46p-3"),
+        ("band", 7, HALF_PI + 0.05, 1, "-axis", "0x1.90915a5a2075ep+3", "inf"),
+        ("cap", 300, deg(40) + 0.1, 1000, "rng", "0x1.949ec229baeb1p+8", "0x1.04c4772b00383p+0"),
+        ("cap", 300, math.pi, 2, "rng", "0x1.7b52216547741p+8", "0x1.71547652b82fep+0"),
+        ("band", 300, deg(40) + 0.1, 1000, "rng", "0x1.d1470b4da5167p+8", "0x1.c0739ca0ec4b5p-1"),
+        ("band", 300, math.pi, 2, "rng", "0x1.2b861cd85dbf4p+9", "0x1.715475f7e4045p+0"),
+        ("twocaps", 300, deg(40) + 0.1, 1000, "rng", "0x1.02cce6d2f670ap+8", "0x1.096dd6a52c532p+0"),
+        ("twocaps", 300, math.pi, 2, "rng", "0x1.827dd32da69d7p+8", "0x1.71547652b82fep+0"),
+        ("cap(pi)", 300, deg(35) + 0.1, 1000, "rng", "0x1.aab317dc97844p+8", "0x1.2d3842beee9e6p+0"),
+        ("cap", 300, 1e-9, 1000, "+axis", "-0x1.045d5de1cb352p+13", "0x1.15d56c80316e5p+0"),
+        ("cap", 300, 1e-9, 1, "rng", "-inf", "inf"),
+        ("twocaps", 300, 0.5, 1000, "-axis", "0x1.2558b894922bfp+8", "0x1.7037ab1ff1ac8p+0"),
+        ("band", 300, HALF_PI + 0.05, 1000, "+axis", "0x1.32d6661f9ecc7p+9", "0x1.e678f79b886f0p-2"),
+        ("band", 300, HALF_PI + 0.05, 1, "-axis", "-inf", "inf"),
+        ("3 bands", 7, deg(40) + 0.1, 1000, "rng", "0x1.f8de3a9783dc4p+2", "0x1.00f41920d45f3p-4"),
+        ("3 bands", 300, math.pi, 1000, "rng", "0x1.31f2aeaa05800p+9", "0x1.60238506e46e2p-1"),
+        ("3 bands", 300, 0.5, 2, "-axis", "0x1.8be5e1f5a31f0p+6", "0x1.71547652b82fep+0"),
+    ]
+
+    @pytest.mark.parametrize("name, m, beta, k, y_kind, est_hex, se_hex", BITS_PINNED)
+    def test_bits_pinned(self, name, m, beta, k, y_kind, est_hex, se_hex):
+        s = self.BITS_SETS[name](m)
+        rng = trial_rng(23, m)
+        y = {"+axis": s.axis, "-axis": -s.axis}.get(y_kind)
+        if y is None:
+            y = rng.standard_normal(m)
+        est, se = estimate_cap_intersection(s, y, beta, k, rng, math.sqrt(m))
+        assert (est.hex(), se.hex()) == (est_hex, se_hex)
+
 
 class TestShellSet:
     def test_full_extrusion_volume_matches_shell_cap(self):
