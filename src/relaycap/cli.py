@@ -63,11 +63,13 @@ class OutputRecord:
     def to_json(self) -> str:
         # Hand-rolled so floats appear as unquoted 17-significant-digit
         # JSON numbers; the standard encoder offers no format hook.
+        # Non-finite floats take the json module's spelling (Infinity,
+        # -Infinity, NaN), which json.loads reads back.
         def render(v) -> str:
             if isinstance(v, bool):
                 return "true" if v else "false"
             if isinstance(v, float):
-                return format(v, ".17g")
+                return format(v, ".17g") if math.isfinite(v) else json.dumps(v)
             if isinstance(v, int):
                 return str(v)
             if isinstance(v, str):

@@ -558,11 +558,14 @@ def ball_overlap_lambda(spec: BallPairSpec) -> float:
 
     lambda = (2 R1 D + 2 R1 R2 + 2 D R2 - R1^2 - R2^2 - D^2) / (2 D); it is
     positive exactly when the lens configuration holds and equals
-    2 R_i sin^2(theta_i) for the aperture angle of either ball cap.
+    2 R_i sin^2(theta_i) for the aperture angle of either ball cap.  The
+    numerator is taken in Heron's grouping with a = sqrt(R1), b = sqrt(R2),
+    c = sqrt(D): (a + b + c)(c - (a - b))(c + (a - b))((a + b) - c), which
+    does not cancel when D is tiny next to R1 = R2.
     """
-    r1, r2, d = spec.R1, spec.R2, spec.D
-    num = 2.0 * r1 * d + 2.0 * r1 * r2 + 2.0 * d * r2 - r1 * r1 - r2 * r2 - d * d
-    return num / (2.0 * d)
+    a, b, c = math.sqrt(spec.R1), math.sqrt(spec.R2), math.sqrt(spec.D)
+    num = (a + b + c) * (c - (a - b)) * (c + (a - b)) * ((a + b) - c)
+    return num / (2.0 * spec.D)
 
 
 def _log2_ball_volume(m: int, radius: float) -> float:

@@ -11,11 +11,14 @@ Sets here are axially symmetric: a cap, a band, or a union of two
 antipodal caps, each described by polar-angle intervals about an axis.
 That structure is what makes the intersection measure estimable at
 m ~ several hundred, where the intersection occupies a ~2^-70 fraction of
-the random cap and hit-or-miss sampling is hopeless: the azimuth toward
-the set axis is importance-sampled uniformly over exactly the interval
-where membership holds, with the true density folded into log-domain
-weights.  The estimator is unbiased and its calibration against the
-quadrature formulas is part of the test suite.
+the random cap and hit-or-miss sampling is hopeless.  The estimator works
+in cosine coordinates around the cap's pole y: w = 1 - cos(rho) is drawn
+uniformly only on the rho-ranges where the circle around y can meet the
+set, and u = cos(psi) (psi the azimuth toward the set axis) uniformly over
+exactly the range where membership holds, which is linear in u; the true
+density is folded into log-domain weights, so no sample needs a
+trigonometric function.  The estimator is unbiased and its calibration
+against the quadrature formulas is part of the test suite.
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, stream_index): trials are independent, reproducible bit-for-bit,
@@ -34,7 +37,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import geometry
-from .errors import DomainError, UnsupportedSet
+from .errors import DomainError, NumericalError, UnsupportedSet
 from .geometry import (
     ShellSpec,
     _log2_beta_fn,
@@ -397,13 +400,85 @@ class ShellSet:
 # ---------------------------------------------------------------------------
 
 
-def _arccos_clamped(cb: float, c: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """arccos((cb - c) / denom), the argument clamped to [-1, 1], in one buffer."""
-    x = np.subtract(cb, c)
-    x /= denom
-    np.maximum(x, -1.0, out=x)
-    np.minimum(x, 1.0, out=x)
-    return np.arccos(x, out=x)
+# Rounding in alpha = acos(cy) and in the interval ends moves a reachable
+# rho-range by a few ulp(pi).  Each range is widened by far more than that:
+# cutting off a reachable sliver would bias the estimate, while a draw in the
+# pad only carries weight 0.
+_REACH_PAD = 1e-12
+
+
+def _reachable_w_ranges(
+    intervals: tuple[tuple[float, float], ...], cy: float, beta: float
+) -> tuple[tuple[float, float], ...]:
+    """Disjoint w = 1 - cos(rho) ranges where the circle around y meets the set.
+
+    The circle at polar angle rho from y spans the axis angles [|rho - alpha|,
+    min(rho + alpha, 2 pi - rho - alpha)], alpha = acos(cy), so it meets the
+    polar interval [lo, hi] exactly for rho in [max(alpha - hi, lo - alpha),
+    min(alpha + hi, 2 pi - lo - alpha)].  These ranges, cut to [0, beta],
+    padded by _REACH_PAD and merged, are mapped to w = 2 sin^2(rho / 2).
+    """
+    alpha = math.acos(cy)
+    reach = []
+    for lo, hi in intervals:
+        a = max(0.0, alpha - hi - _REACH_PAD, lo - alpha - _REACH_PAD)
+        b = min(beta, alpha + hi + _REACH_PAD, 2.0 * math.pi - lo - alpha + _REACH_PAD)
+        if a < b:
+            reach.append((a, b))
+    return tuple(
+        (2.0 * math.sin(0.5 * a) ** 2, 2.0 * math.sin(0.5 * b) ** 2)
+        for a, b in _merge_intervals(reach)
+    )
+
+
+def _spread(v: np.ndarray, starts, lengths):
+    """Map v in [0, 1) uniformly onto the union of [start_j, start_j + length_j].
+
+    Starts and lengths are per-sample arrays or scalars, the pieces taken in
+    order.  With total the summed length and target = v * total, the point
+    is target + (start_j - cum_{j-1}) for the piece j whose running-sum
+    range (cum_{j-1}, cum_j] holds target; the piece's offset is selected
+    arithmetically, since masked ufuncs are several times slower.
+    Overwrites v; returns (point, total).
+    """
+    cums = []
+    total = lengths[0]
+    for length in lengths[1:]:
+        cums.append(total)
+        total = total + length
+    target = np.multiply(v, total, out=v)
+    point = target + starts[0]
+    prev = starts[0]
+    for start, cum in zip(starts[1:], cums):
+        offset = start - cum
+        point += (target > cum) * (offset - prev)
+        prev = offset
+    return point, total
+
+
+def _u_range(lo: float, hi: float, cc: np.ndarray, den: np.ndarray):
+    """u-range [a, a + length] of the samples' circles inside polar [lo, hi].
+
+    A point at u = cos(psi) has axis-cosine cc + den * u, so it lies in the
+    interval exactly for u in [(cos hi - cc) / den, (cos lo - cc) / den]
+    intersected with [-1, 1].  An end at a pole is the exact bound -1 or 1.
+    The start a is kept inside [-1, 1] even where the range is empty, so
+    `_spread`'s offsets stay at the scale of one.
+    """
+    if hi == math.pi:
+        a = -1.0
+    else:
+        a = np.subtract(math.cos(hi), cc)
+        a /= den
+        np.maximum(a, -1.0, out=a)
+        np.minimum(a, 1.0, out=a)
+    if lo == 0.0:
+        b = 1.0
+    else:
+        b = np.subtract(math.cos(lo), cc)
+        b /= den
+        np.minimum(b, 1.0, out=b)
+    return a, np.maximum(b - a, 0.0)
 
 
 def estimate_cap_intersection(
@@ -416,12 +491,15 @@ def estimate_cap_intersection(
 ) -> tuple[float, float]:
     """Unbiased log-domain estimate of mu(A intersect Cap(y, beta)).
 
-    Parametrize the cap around y by polar angle rho (to y) and azimuth psi
-    measured toward the set axis; the remaining directions integrate out
-    exactly into the unit (m-3)-sphere area.  rho is drawn uniformly on
-    [0, beta]; psi uniformly on the sub-intervals where membership in A
-    holds (computed per sample in closed form), with the uniform-measure
-    density sin^(m-2) rho sin^(m-3) psi carried as a log-domain weight.
+    Parametrize the cap around y by w = 1 - cos(rho), rho the polar angle
+    to y, and u = cos(psi), psi the azimuth toward the set axis; the
+    remaining directions integrate out exactly into the unit (m-3)-sphere
+    area, and the uniform measure is s^(m-3) (1 - u^2)^((m-4)/2) dw du with
+    s = sin(rho) = sqrt(w (2 - w)).  w is drawn uniformly on the ranges
+    where the circle around y can meet A (`_reachable_w_ranges`), u
+    uniformly on the range where the point lies in A (`_u_range`, exact),
+    and the density is carried as the log-domain weight log2(total * s) +
+    ((m-4)/2) log2(s^2 (1 - u^2)), total being the u-range's length.
 
     Returns (log2 estimate, standard error in bits).  An estimate of -inf
     means no sample carried weight (empty intersection at every draw).
@@ -438,78 +516,69 @@ def estimate_cap_intersection(
     y_hat = np.asarray(y_hat, dtype=float)
     y_hat = y_hat / np.linalg.norm(y_hat)
     cy = min(max(float(y_hat @ sphere_set.axis), -1.0), 1.0)
-    ca = max(math.sqrt(max(0.0, 1.0 - cy * cy)), 1e-300)
+    ca = math.sqrt(max(0.0, 1.0 - cy * cy))
 
-    rho = rng.random(k)
-    rho *= beta
+    ranges = _reachable_w_ranges(sphere_set.intervals, cy, beta)
+    if not ranges:
+        return -math.inf, math.inf
+    # Below rho ~ 1e-150, w = 1 - cos(rho) nears the subnormal range and
+    # loses its bits (or underflows to 0), so such a cap is out of reach.
+    if ranges[-1][1] < 2.0**-1000:
+        raise NumericalError(
+            f"every reachable polar angle is below ~1e-150 (beta = {beta}); "
+            "w = 1 - cos(rho) cannot resolve it"
+        )
+    w, w_len = _spread(rng.random(k), [a for a, _ in ranges], [b - a for a, b in ranges])
     v = rng.random(k)
-    c = np.cos(rho)
-    c *= cy
-    sin_rho = np.sin(rho, out=rho)
-    denom = sin_rho * ca
-    np.maximum(denom, 1e-300, out=denom)
+    s2 = np.subtract(2.0, w)
+    s2 *= w
+    np.maximum(s2, 0.0, out=s2)  # w may leave [0, 2] by an ulp
+    s = np.sqrt(s2)
+    cc = np.multiply(w, -cy, out=w)
+    cc += cy
+    den = s * ca
+    np.maximum(den, 1e-300, out=den)
+    starts, lengths = zip(*(_u_range(lo, hi, cc, den) for lo, hi in sphere_set.intervals))
+    u, total = _spread(v, starts, lengths)
 
-    # Per interval, the psi range where the sample lies in it, [p_lo, p_lo +
-    # length]; target = v * total is spread over the intervals in order.
-    p_los, cums = [], []
-    total = None
-    for lo, hi in sphere_set.intervals:
-        p_lo = _arccos_clamped(math.cos(lo), c, denom)
-        length = _arccos_clamped(math.cos(hi), c, denom)
-        length -= p_lo
-        np.maximum(length, 0.0, out=length)
-        total = length if total is None else total + length
-        p_los.append(p_lo)
-        cums.append(total)
-    target = v
-    target *= total
-    psi = p_los[0] + target
-    for p_lo, prev in zip(p_los[1:], cums):
-        np.add(p_lo, target - prev, out=psi, where=target > prev)
-    np.maximum(psi, 0.0, out=psi)
-    np.minimum(psi, math.pi, out=psi)
-
-    # A sample with an empty psi range has weight exactly 0 (log2(0) = -inf).
-    # Weighting only the live samples keeps log2 and exp2 off their slow
-    # special-value paths; the zeros are put back before the sums.
-    live = (total != 0.0).nonzero()[0]
-    if live.size < k:
-        total, sin_rho, psi = total[live], sin_rho[live], psi[live]
+    # log2 w = log2(total * s) + ((m-4)/2) log2(s^2 (1 - u^2)); the second
+    # term is 0 at m = 4 and is skipped there, since u = +-1 would make it
+    # 0 * -inf.  A dead draw (in a pad, or one that rounding puts outside
+    # every member range) has total = 0 and weight exactly 0.
     with np.errstate(divide="ignore"):
-        log_w = np.log2(total, out=total)
-        np.log2(sin_rho, out=sin_rho)
-        sin_rho *= m - 2
-        log_w += sin_rho
-        np.sin(psi, out=psi)
-        np.log2(psi, out=psi)
-        psi *= m - 3
-        log_w += psi
+        log_w = np.multiply(s, total, out=s)
+        np.log2(log_w, out=log_w)
+        if m > 4:
+            q = np.multiply(u, u, out=u)
+            np.subtract(1.0, q, out=q)
+            q *= s2
+            np.maximum(q, 0.0, out=q)  # |u| may pass 1 by an ulp
+            np.log2(q, out=q)
+            q *= 0.5 * (m - 4)
+            log_w += q
 
-    w_max = float(np.maximum.reduce(log_w)) if live.size else -math.inf
+    w_max = float(np.maximum.reduce(log_w))
     if w_max == -math.inf:
         return -math.inf, math.inf
     log_w -= w_max
-    np.exp2(log_w, out=log_w)
-    if live.size < k:
-        w = np.zeros(k)
-        w[live] = log_w
-    else:
-        w = log_w
-    s = float(np.add.reduce(w))
+    # Weights below 2^-1000 of the largest are below an ulp of the sum (which
+    # is >= 1); lifting them to 2^-1000 keeps exp2 off its slow subnormal path.
+    np.maximum(log_w, -1000.0, out=log_w)
+    wt = np.exp2(log_w, out=log_w)
+    total_w = float(np.add.reduce(wt))
     const = (
-        math.log2(beta)
+        math.log2(w_len)
         - math.log2(k)
         + (m - 1) * math.log2(radius)
         + geometry.log_sphere_area(m - 2, 1.0).log2_value
     )
-    log2_est = const + w_max + math.log2(s)
+    log2_est = const + w_max + math.log2(total_w)
     if k == 1:
         return log2_est, math.inf
-    # Sample standard deviation by the steps of ndarray.std(ddof=1).
-    mean = s / k
-    w -= mean
-    w *= w
-    sd = math.sqrt(float(np.add.reduce(w)) / (k - 1))
+    mean = total_w / k
+    wt -= mean
+    wt *= wt
+    sd = math.sqrt(float(np.add.reduce(wt)) / (k - 1))
     return log2_est, sd / (math.sqrt(k) * mean) / LN2
 
 

@@ -14,6 +14,7 @@ from relaycap.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    OutputRecord,
     build_parser,
     main,
 )
@@ -191,14 +192,24 @@ class TestGeom:
 
     def test_cap_area_exponent_at_tiny_angle(self, capsys):
         # sin(theta)^2 underflows to 0 here; 2 log2 sin(theta) does not.
-        # CSV, because the record's log2_measure is -inf (not a JSON number).
-        code, out, _ = run_cli(capsys, "geom", "cap-area", "--m", "100", "--theta", "1e-300",
-                               "--format", "csv")
+        # The record's log2_measure is -inf, written as -Infinity.
+        code, out, _ = run_cli(capsys, "geom", "cap-area", "--m", "100", "--theta", "1e-300")
         assert code == EXIT_OK
-        header, row = out.splitlines()
-        exponent = float(dict(zip(header.split(","), row.split(",")))["asymptotic_exponent"])
-        assert exponent == pytest.approx(50 * (math.log2(2 * math.pi * math.e)
-                                               + 2 * math.log2(1e-300)), rel=1e-12)
+        row = json.loads(out)["rows"][0]
+        assert row["asymptotic_exponent"] == pytest.approx(
+            50 * (math.log2(2 * math.pi * math.e) + 2 * math.log2(1e-300)), rel=1e-12
+        )
+        assert row["log2_measure"] == -math.inf
+
+    def test_ball_intersect_at_tiny_distance(self, capsys):
+        # R1 = R2 = 1, D = 1e-300: the expanded numerator of lambda cancels
+        # to 0; Heron's grouping gives the exact limit 2.
+        code, out, _ = run_cli(
+            capsys, "geom", "ball-intersect", "--m", "10", "--r1", "1",
+            "--r2", "1", "--d", "1e-300",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0]["lambda"] == 2.0
 
 
 class TestMc:
@@ -316,6 +327,16 @@ class TestOutput:
         # full float precision survives a JSON round trip
         row = json.loads(out)["rows"][0]
         assert row["c_infinity"] == 0.5 * math.log2(3.0)
+
+    def test_non_finite_floats_round_trip(self):
+        record = OutputRecord("test", {"x": math.inf}, ["a", "b", "c", "d"])
+        record.add(a=-math.inf, b=math.nan, c=0.1, d=[math.inf, 1.5])
+        text = record.to_json()
+        assert '"a": -Infinity, "b": NaN, "c": 0.10000000000000001' in text
+        doc = json.loads(text)
+        row = doc["rows"][0]
+        assert doc["params"]["x"] == math.inf and row["a"] == -math.inf
+        assert math.isnan(row["b"]) and row["d"] == [math.inf, 1.5]
 
 
 class TestExitCodes:

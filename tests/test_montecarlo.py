@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta as beta_law
 from scipy.stats import ks_2samp, kstest
@@ -11,6 +11,7 @@ from relaycap import (
     CapSpec,
     DomainError,
     McConfig,
+    NumericalError,
     ShellSpec,
     SphereSet,
     ShellSet,
@@ -19,6 +20,7 @@ from relaycap import (
     log_cap_area,
     log_cap_intersection,
     log_shell_cap_volume,
+    montecarlo,
     sample_uniform_cap,
     sample_uniform_sphere,
     verify_blowup,
@@ -31,6 +33,8 @@ from relaycap.montecarlo import (
     HALF_PI,
     _log2_band_mass,
     _polar_cosines,
+    _reachable_w_ranges,
+    _u_range,
     estimate_cap_intersection,
     trial_rng,
 )
@@ -280,37 +284,37 @@ class TestIntersectionEstimator:
     # (set, m, beta, samples, y) -> float.hex of (estimate, se); y is "+axis",
     # "-axis" (cy = +-1 exactly) or "rng" (a Gaussian draw from the trial's
     # stream, which then feeds the estimator, as the verifiers do).  Recorded
-    # from the earlier (samples x intervals) formulation of the estimator,
-    # with numpy 2.4 on x86-64; seeded mc output is byte-stable only while
-    # these hold.
+    # from the cosine-coordinate estimator (w = 1 - cos rho drawn on the
+    # reachable ranges, u = cos psi on the member range) with numpy 2.4 on
+    # x86-64; seeded mc output is byte-stable only while these hold.
     BITS_PINNED = [
-        ("cap", 7, deg(40) + 0.1, 1000, "rng", "0x1.69a0a52dda58ep+2", "0x1.fa65730f441d5p-4"),
-        ("cap", 7, math.pi, 2, "rng", "0x1.99ca383110a44p+2", "0x1.7150ecee882fep+0"),
-        ("band", 7, deg(40) + 0.1, 1000, "rng", "0x1.f0217e25983c0p+2", "0x1.f20747ab4150ap-5"),
-        ("band", 7, math.pi, 2, "rng", "0x1.8b87af9e790e6p+3", "0x1.53ae6d956427cp-1"),
-        ("twocaps", 7, deg(40) + 0.1, 1000, "rng", "0x1.99ae935e1ed1cp+0", "0x1.af7536b7cbe70p-3"),
-        ("twocaps", 7, math.pi, 2, "rng", "0x1.a3d89cc18277cp+1", "0x1.70c38ed52a497p+0"),
-        ("cap(pi)", 7, deg(35) + 0.1, 1000, "rng", "0x1.d8cb7c9f05604p+2", "0x1.97fe3143db63ep-4"),
-        ("cap", 7, 1e-9, 1000, "+axis", "-0x1.535f6736e5fbcp+7", "0x1.a199a5bea6b1cp-4"),
+        ("cap", 7, deg(40) + 0.1, 1000, "rng", "0x1.66bcfba9695d1p+2", "0x1.cee29af0e4013p-5"),
+        ("cap", 7, math.pi, 2, "rng", "0x1.803e529b8e598p+3", "0x1.07e6ccf839a5dp+0"),
+        ("band", 7, deg(40) + 0.1, 1000, "rng", "0x1.f12fb7d1a6226p+2", "0x1.2656cec4b51cap-5"),
+        ("band", 7, math.pi, 2, "rng", "0x1.95b907684a2e2p+3", "0x1.4cf23134ec4e2p-3"),
+        ("twocaps", 7, deg(40) + 0.1, 1000, "rng", "0x1.9899189777e2cp+0", "0x1.0f9728f7405eap-4"),
+        ("twocaps", 7, math.pi, 2, "rng", "0x1.71d6a915ab922p+3", "0x1.9cf5bd14ed8eep-1"),
+        ("cap(pi)", 7, deg(35) + 0.1, 1000, "rng", "0x1.d97d7b09653f0p+2", "0x1.9f76645443599p-5"),
+        ("cap", 7, 1e-9, 1000, "+axis", "-0x1.512701956e844p+7", "0x1.aeca158722f38p-5"),
         ("cap", 7, 1e-9, 1, "rng", "-inf", "inf"),
-        ("twocaps", 7, 0.5, 1000, "-axis", "0x1.24116a6bf2e18p+2", "0x1.a1eaff0056a09p-4"),
-        ("band", 7, HALF_PI + 0.05, 1000, "+axis", "0x1.77be1c51427b0p+3", "0x1.0aa2f1572dd46p-3"),
-        ("band", 7, HALF_PI + 0.05, 1, "-axis", "0x1.90915a5a2075ep+3", "inf"),
-        ("cap", 300, deg(40) + 0.1, 1000, "rng", "0x1.949ec229baeb1p+8", "0x1.04c4772b00383p+0"),
-        ("cap", 300, math.pi, 2, "rng", "0x1.7b52216547741p+8", "0x1.71547652b82fep+0"),
-        ("band", 300, deg(40) + 0.1, 1000, "rng", "0x1.d1470b4da5167p+8", "0x1.c0739ca0ec4b5p-1"),
-        ("band", 300, math.pi, 2, "rng", "0x1.2b861cd85dbf4p+9", "0x1.715475f7e4045p+0"),
-        ("twocaps", 300, deg(40) + 0.1, 1000, "rng", "0x1.02cce6d2f670ap+8", "0x1.096dd6a52c532p+0"),
-        ("twocaps", 300, math.pi, 2, "rng", "0x1.827dd32da69d7p+8", "0x1.71547652b82fep+0"),
-        ("cap(pi)", 300, deg(35) + 0.1, 1000, "rng", "0x1.aab317dc97844p+8", "0x1.2d3842beee9e6p+0"),
-        ("cap", 300, 1e-9, 1000, "+axis", "-0x1.045d5de1cb352p+13", "0x1.15d56c80316e5p+0"),
+        ("twocaps", 7, 0.5, 1000, "-axis", "0x1.254c3cfb430c5p+2", "0x1.a6dc59616f2eep-5"),
+        ("band", 7, HALF_PI + 0.05, 1000, "+axis", "0x1.7956a97127adbp+3", "0x1.9d15e26b3de7dp-6"),
+        ("band", 7, HALF_PI + 0.05, 1, "-axis", "0x1.761de0b746056p+3", "inf"),
+        ("cap", 300, deg(40) + 0.1, 1000, "rng", "0x1.a06f504016c9ep+8", "0x1.559499da3b2d0p+0"),
+        ("cap", 300, math.pi, 2, "rng", "0x1.1e99356eb84d2p+9", "0x1.71547652b82fep+0"),
+        ("band", 300, deg(40) + 0.1, 1000, "rng", "0x1.d078fac33cbb9p+8", "0x1.6949dd5c6bcc9p-1"),
+        ("band", 300, math.pi, 2, "rng", "0x1.2e4e9678ff9dap+9", "0x1.699af531b1cc0p+0"),
+        ("twocaps", 300, deg(40) + 0.1, 1000, "rng", "0x1.1630bc9a66132p+8", "0x1.6fdbb12cf0692p+0"),
+        ("twocaps", 300, math.pi, 2, "rng", "0x1.b11f395e9a9e3p+8", "0x1.71547652b82fep+0"),
+        ("cap(pi)", 300, deg(35) + 0.1, 1000, "rng", "0x1.a9a44594b84e3p+8", "0x1.e53dbcf2a3729p-1"),
+        ("cap", 300, 1e-9, 1000, "+axis", "-0x1.0452c1f50c3ecp+13", "0x1.52e479ea74c35p+0"),
         ("cap", 300, 1e-9, 1, "rng", "-inf", "inf"),
-        ("twocaps", 300, 0.5, 1000, "-axis", "0x1.2558b894922bfp+8", "0x1.7037ab1ff1ac8p+0"),
-        ("band", 300, HALF_PI + 0.05, 1000, "+axis", "0x1.32d6661f9ecc7p+9", "0x1.e678f79b886f0p-2"),
-        ("band", 300, HALF_PI + 0.05, 1, "-axis", "-inf", "inf"),
-        ("3 bands", 7, deg(40) + 0.1, 1000, "rng", "0x1.f8de3a9783dc4p+2", "0x1.00f41920d45f3p-4"),
-        ("3 bands", 300, math.pi, 1000, "rng", "0x1.31f2aeaa05800p+9", "0x1.60238506e46e2p-1"),
-        ("3 bands", 300, 0.5, 2, "-axis", "0x1.8be5e1f5a31f0p+6", "0x1.71547652b82fep+0"),
+        ("twocaps", 300, 0.5, 1000, "-axis", "0x1.23f68ca97ca4dp+8", "0x1.4b80a49c4596ep+0"),
+        ("band", 300, HALF_PI + 0.05, 1000, "+axis", "0x1.327e3d40fbcaep+9", "0x1.abfd5714b45dfp-3"),
+        ("band", 300, HALF_PI + 0.05, 1, "-axis", "0x1.29a949f3f925cp+9", "inf"),
+        ("3 bands", 7, deg(40) + 0.1, 1000, "rng", "0x1.f8ea6346a2ccep+2", "0x1.2ba02832348e2p-5"),
+        ("3 bands", 300, math.pi, 1000, "rng", "0x1.32807011eba91p+9", "0x1.5366cdef55375p-2"),
+        ("3 bands", 300, 0.5, 2, "-axis", "0x1.adbd864c2d710p+7", "0x1.71547652b82fep+0"),
     ]
 
     @pytest.mark.parametrize("name, m, beta, k, y_kind, est_hex, se_hex", BITS_PINNED)
@@ -322,6 +326,181 @@ class TestIntersectionEstimator:
             y = rng.standard_normal(m)
         est, se = estimate_cap_intersection(s, y, beta, k, rng, math.sqrt(m))
         assert (est.hex(), se.hex()) == (est_hex, se_hex)
+
+
+def _set_of_shape(shape, m, p, q):
+    """A cap, band or two-cap set at m from two numbers p, q in (0, 1)."""
+    if shape == "cap":
+        return SphereSet.cap(m, math.pi * max(p, 1e-3))
+    if shape == "band":
+        return SphereSet.band(m, math.pi * p, HALF_PI * max(q, 1e-3))
+    a1 = math.pi * max(p, 1e-3) * 0.95
+    return SphereSet.two_cap_union(m, a1, (math.pi - a1) * max(q, 1e-3) * 0.95)
+
+
+def _frame(m, alpha):
+    """y at angle alpha from the axis e1, and the unit t orthogonal to y in
+    span(e1, y) with t . e1 = sin(alpha) >= 0 (the psi = 0 direction)."""
+    y = np.zeros(m)
+    t = np.zeros(m)
+    y[0], y[1] = math.cos(alpha), math.sin(alpha)
+    t[0], t[1] = math.sin(alpha), -math.cos(alpha)
+    return y, t
+
+
+def _cy_ca(sphere_set, y):
+    """cos and sin of the angle between y and the axis, as the estimator forms them."""
+    cy = min(max(float(y / np.linalg.norm(y) @ sphere_set.axis), -1.0), 1.0)
+    return cy, math.sqrt(max(0.0, 1.0 - cy * cy))
+
+
+_SHAPES = st.sampled_from(["cap", "band", "twocaps"])
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+# y on the axis (alpha = 0 or pi, so cy = +-1 exactly) or off it.
+_ALPHA = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(1e-6, math.pi - 1e-6))
+
+
+class TestCosineCoordinates:
+    """Laws of the estimator's coordinates w = 1 - cos(rho), u = cos(psi)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(4, 3000),
+        shape=_SHAPES,
+        p=_UNIT,
+        q=_UNIT,
+        alpha=_ALPHA,
+        rho=st.floats(1e-6, math.pi - 1e-6),
+        u=st.floats(-1.0, 1.0),
+    )
+    def test_u_range_is_exact_membership(self, m, shape, p, q, alpha, rho, u):
+        s = _set_of_shape(shape, m, p, q)
+        y, t = _frame(m, alpha)
+        e3 = np.zeros(m)
+        e3[2] = 1.0
+        x = math.cos(rho) * y + math.sin(rho) * (u * t + math.sqrt(1.0 - u * u) * e3)
+        polar = math.acos(min(max(float(x @ s.axis), -1.0), 1.0))
+        cy, ca = _cy_ca(s, y)
+        cc = np.array([math.cos(rho) * cy])
+        den = np.array([max(math.sin(rho) * ca, 1e-300)])
+        in_range = False
+        for lo, hi in s.intervals:
+            a, length = _u_range(lo, hi, cc, den)
+            a, length = float(np.asarray(a).item()), float(np.asarray(length).item())
+            assert -1.0 <= a <= 1.0 and 0.0 <= length <= 2.0
+            if length == 0.0:
+                continue
+            # An end inside (-1, 1) is a point on the interval's edge.
+            for end, edge in ((a, hi), (a + length, lo)):
+                if 0.0 < edge < math.pi and abs(end) < 1.0 - 1e-9:
+                    x_end = math.cos(rho) * y + math.sin(rho) * (
+                        end * t + math.sqrt(1.0 - end * end) * e3
+                    )
+                    assert float(x_end @ s.axis) == pytest.approx(math.cos(edge), abs=1e-12)
+            # Points within rounding of an end are not decided here.
+            assume(min(abs(u - a), abs(u - (a + length))) > 1e-7)
+            in_range |= a <= u <= a + length
+        assume(min(abs(polar - e) for iv in s.intervals for e in iv) > 1e-7)
+        assert in_range == bool(s.contains_polar(np.array([polar]))[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=4
+        ),
+        v=st.lists(_UNIT, min_size=1, max_size=8),
+    )
+    def test_spread_lands_in_its_piece(self, pieces, v):
+        starts = [np.full(len(v), a) for a, _ in pieces]
+        lengths = [np.full(len(v), b) for _, b in pieces]
+        point, total = montecarlo._spread(np.array(v), starts, lengths)
+        cums = np.cumsum([b for _, b in pieces])
+        assert total[0] == pytest.approx(cums[-1], abs=1e-12)
+        for vi, pi in zip(v, point):
+            j = min(int(np.searchsorted(cums, vi * cums[-1], side="left")), len(pieces) - 1)
+            a, b = pieces[j]
+            assert a - 1e-12 <= pi <= a + b + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=_SHAPES,
+        p=_UNIT,
+        q=_UNIT,
+        alpha=_ALPHA,
+        beta=st.floats(1e-3, math.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reachable_ranges_hold_every_member_of_the_cap(self, shape, p, q, alpha, beta, seed):
+        m = 6
+        s = _set_of_shape(shape, m, p, q)
+        y, _ = _frame(m, alpha)
+        ranges = _reachable_w_ranges(s.intervals, _cy_ca(s, y)[0], beta)
+        if shape != "twocaps":
+            assert len(ranges) <= 1  # one piece: no dead draw for a cap or band
+        pts = sample_uniform_cap(m, 1.0, y, beta, trial_rng(seed, 0), size=400)
+        member = s.contains_polar(s.polar_angles(pts))
+        w = 1.0 - np.clip(pts[member] @ y, -1.0, 1.0)
+        inside = np.zeros(w.shape, dtype=bool)
+        for a, b in ranges:
+            inside |= (w >= a - 1e-9) & (w <= b + 1e-9)
+        assert inside.all()
+
+    @pytest.mark.parametrize(
+        "shape, p, q", [("cap", 0.4, 0.0), ("band", 0.5, 0.2), ("twocaps", 0.3, 0.5)]
+    )
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.4, 2.9, math.pi])
+    def test_no_draw_outside_reachable_ranges(self, monkeypatch, shape, p, q, alpha):
+        # beta = 150 deg: at alpha = 0.3 the two caps are reached on two
+        # disjoint rho-ranges.
+        m, beta = 40, deg(150)
+        s = _set_of_shape(shape, m, p, q)
+        y, _ = _frame(m, alpha)
+        draws = []
+        spread = montecarlo._spread
+
+        def recording_spread(v, starts, lengths):
+            point, total = spread(v, starts, lengths)
+            draws.append(np.array(point, copy=True))
+            return point, total
+
+        monkeypatch.setattr(montecarlo, "_spread", recording_spread)
+        estimate_cap_intersection(s, y, beta, 5_000, trial_rng(31, 0), 1.0)
+        ranges = _reachable_w_ranges(s.intervals, _cy_ca(s, y)[0], beta)
+        if not ranges:
+            assert draws == []
+            return
+        if (shape, alpha) == ("twocaps", 0.3):
+            assert len(ranges) == 2
+        w = draws[0]  # the first spread places w; the second, u
+        inside = np.zeros(w.shape, dtype=bool)
+        for a, b in ranges:
+            inside |= (w >= a - 4 * math.ulp(a)) & (w <= b + 4 * math.ulp(b))
+        assert inside.all()
+
+    def test_unresolvable_tiny_cap_raises(self):
+        # w = 1 - cos(rho) underflows for rho ~ 1e-200; the estimate must not
+        # silently read as an empty intersection.
+        s = SphereSet.cap(20, 1.0)
+        with pytest.raises(NumericalError):
+            estimate_cap_intersection(s, s.axis, 1e-200, 100, trial_rng(1, 0), 1.0)
+        est, _ = estimate_cap_intersection(s, s.axis, 1e-140, 100, trial_rng(1, 0), 1.0)
+        assert math.isfinite(est)
+
+    def test_m4_pole_draws_are_not_nan(self):
+        # At m = 4 the (1 - u^2) exponent is 0; with y on the axis every u in
+        # [-1, 1] is a member and u = -1 + 2v reaches -1 at v = 0.
+        class Edges:
+            def random(self, k):
+                return np.resize([0.0, 0.5, 1.0 - 2.0**-53], k)
+
+        m = 4
+        s = SphereSet.cap(m, deg(30))
+        for y in (s.axis, -s.axis):
+            est, se = estimate_cap_intersection(s, y, math.pi, 3, Edges(), 1.0)
+            assert not math.isnan(est) and not math.isnan(se)
+            assert math.isfinite(est)
+        est, se = estimate_cap_intersection(s, s.axis, deg(50), 20_000, trial_rng(11, 0), 1.0)
+        assert abs(est - log_cap_area(CapSpec(m, 1.0, deg(30))).log2_value) <= 4 * se
 
 
 class TestShellSet:
