@@ -185,7 +185,9 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
     clamped: below by C(0), above by the cut-set bound (log2 sin <= 0) and
     by the certified bound, which keeps the result strictly below C(inf)
     even where the true gap is smaller than the kernel's float evaluation
-    noise (e.g. SNR ~ 1e-4 with C0 ~ 15).
+    noise (e.g. SNR ~ 1e-4 with C0 ~ 15).  Last, it is raised to
+    compress_forward_rate, so the float values keep the true order
+    cf_rate <= bound <= cut-set at every input.
     """
     if math.isinf(c0):
         raise InvalidInput("capacity_upper_bound requires finite C0; use "
@@ -220,7 +222,10 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
     except NumericalError:
         # certificate step below float64 range (C0 in the hundreds)
         pass
-    return value
+    # the capacity is at least the compress-and-forward rate; where the true
+    # gap between them is below the rounding of either, the float rate can
+    # land above the clamped bound (e.g. SNR 10^-3.859375, C0 = 19.5)
+    return max(value, compress_forward_rate(params, c0))
 
 
 def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
@@ -288,7 +293,8 @@ def compress_forward_rate(params: ChannelParams, c0: float) -> float:
     The quantization noise sigma^2 = N(2P+N) / ((P+N)(2^(2 C0) - 1)) makes
     the bin index exactly fill the C0 pipe given the destination's side
     information; the rate is then 1/2 log2(1 + P/N + P/(N + sigma^2)).
-    C0 = 0 disables the relay (rate C(0)); C0 = inf reaches C(inf).
+    C0 = 0 disables the relay (rate C(0)); C0 = inf reaches C(inf).  At
+    finite C0 > 0 the rate is clamped to the float cut-set bound.
     """
     if c0 < 0 or math.isnan(c0):
         raise DomainError(f"C0 must be >= 0, got {c0}")
@@ -298,7 +304,11 @@ def compress_forward_rate(params: ChannelParams, c0: float) -> float:
         return capacity_full_cooperation(params)
     P, N = params.P, params.N
     sigma2 = cf_quantization_variance(params, c0)
-    return 0.5 * math.log2(1.0 + P / N + P / (N + sigma2))
+    rate = 0.5 * math.log2(1.0 + P / N + P / (N + sigma2))
+    # an achievable rate never exceeds the cut-set bound; in float the two
+    # can cross by a few ulps where C0 is below C(0)'s resolution (e.g.
+    # SNR 1000, C0 = 2^-52)
+    return min(rate, cutset_bound(params, c0))
 
 
 def cf_quantization_variance(params: ChannelParams, c0: float) -> float:

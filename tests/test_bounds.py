@@ -454,6 +454,10 @@ class TestProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(snr=_snr(-4, 4), c0=st.floats(0.0, 20.0))
+    # C(0) + C0 at the edge of float resolution, and a compress-and-forward
+    # rate within a few thousand ulps of the certified bound
+    @example(snr=1000.0, c0=2.0 ** -52)
+    @example(snr=10.0 ** -3.859375, c0=19.5)
     def test_ordering(self, snr, c0):
         p = ChannelParams.from_snr(snr)
         ub = capacity_upper_bound(p, c0)
