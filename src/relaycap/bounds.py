@@ -28,14 +28,13 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.optimize import brentq
-
 from .channel import ChannelParams, capacity_full_cooperation, capacity_no_relay
 from .errors import DomainError, InvalidInput, NumericalError
 
 LN2 = math.log(2.0)
 HALF_PI = math.pi / 2.0
 _EPS = sys.float_info.epsilon
+_BRENT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -160,6 +159,62 @@ def minimize_entropy_difference(params: ChannelParams, theta: float) -> OmegaSea
     return OmegaSearchResult(omega_star=omega_star, value=value)
 
 
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float,
+            xtol: float, rtol: float) -> float:
+    """Root of f on [xpre, xcur] by Brent's method, given f there.
+
+    fpre = f(xpre) and fcur = f(xcur) must be nonzero and of opposite
+    sign.  A step-for-step port of scipy's Zeros/brentq.c, so it returns
+    the same float as scipy.optimize.brentq(f, xpre, xcur, xtol, rtol)
+    without importing scipy.optimize.  xblk is the point that brackets the
+    root with xcur; the step is secant or inverse-quadratic when that is
+    short enough and bisection otherwise, and never shorter than delta.
+    Raises NumericalError after _BRENT_MAX_ITER steps, where scipy raises
+    RuntimeError.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        # brentq.c also requires both nonzero; only a new fcur can be zero,
+        # and then xcur is returned below whichever way this test goes
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise NumericalError(
+        f"Brent root-find did not converge in {_BRENT_MAX_ITER} steps on [{xpre}, {xcur}]"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Bounds and rates
 # ---------------------------------------------------------------------------
@@ -178,7 +233,7 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
     The first term C0 + log2 sin(theta) increases in theta and the inner
     minimum k*(theta) does not, so the sup of their min over
     [arcsin 2^-C0, pi/2] sits at their crossing.  Since 0 <= k* <= k*(theta0),
-    the crossing lies where sin(theta) <= 2^(k*(theta0) - C0); brentq finds
+    the crossing lies where sin(theta) <= 2^(k*(theta0) - C0); _brentq finds
     it to a relative tolerance, and max(first, k*) at the root bounds the
     sup from above whichever side of the crossing the root landed on.  The
     sum is rounded up by a bound on its float evaluation error and then
@@ -203,13 +258,14 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
         return c0 + math.log2(math.sin(theta)) - _inner_min(P, N, theta)[1]
 
     lo, hi = theta0, math.asin(min(1.0, 2.0 ** (_inner_min(P, N, theta0)[1] - c0)))
-    if excess(lo) >= 0.0:
+    f_lo = excess(lo)
+    if f_lo >= 0.0:
         root = lo
-    elif excess(hi) <= 0.0:
+    elif (f_hi := excess(hi)) <= 0.0:
         root = hi
     else:
         # near theta0 = arcsin 2^-C0 only a relative tolerance resolves theta
-        root = brentq(excess, lo, hi, xtol=sys.float_info.min, rtol=4.0 * _EPS)
+        root = _brentq(excess, lo, hi, f_lo, f_hi, xtol=sys.float_info.min, rtol=4.0 * _EPS)
     best = max(c0 + math.log2(math.sin(root)), _inner_min(P, N, root)[1])
 
     c_no_relay = capacity_no_relay(params)

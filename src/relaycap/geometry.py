@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericalError
 
@@ -259,6 +258,9 @@ def _log2_quad(log2_f, a: float, b: float, peak_x: float, drop_bits: float = 70.
     """
     if not b > a:
         return -math.inf
+    # loaded on first use: scipy.integrate alone costs ~0.7 s of start-up
+    from scipy.integrate import quad
+
     inset = (b - a) * 1e-12
     xs = np.linspace(a + inset, b - inset, 129)
     last = len(xs) - 1
@@ -320,9 +322,16 @@ def log2_sin_power_integral(k: int, lo: float, hi: float) -> float:
 
 
 def _log2_sin_integral_zero_to(k: int, theta: float) -> float:
-    """log2 of the integral of sin^k over [0, theta], via the closed beta form."""
+    """log2 of the integral of sin^k over [0, theta], via the closed beta form.
+
+    Below theta = 1e-150, where sin^2 theta heads for underflow, it is the
+    small-angle form theta^(k+1) / (k+1), whose relative error ~k theta^2
+    is far below an ulp.
+    """
     if theta <= 0.0:
         return -math.inf
+    if theta < 1e-150:
+        return (k + 1) * math.log2(theta) - math.log2(k + 1)
     a = (k + 1) / 2.0
     log2_b = _log2_beta_fn(a, 0.5)
     if theta >= math.pi:

@@ -32,9 +32,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import geometry
 from .errors import DomainError, NumericalError, UnsupportedSet
@@ -45,6 +45,9 @@ from .geometry import (
     _log2_sin_integral_zero_to,
     log2_reg_inc_beta,
 )
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 LN2 = math.log(2.0)
 HALF_PI = math.pi / 2.0
@@ -116,6 +119,9 @@ def _polar_angle_table(m: int, angle: float) -> PchipInterpolator:
     keep = np.isfinite(log_cdf)
     keep[:-1] &= np.diff(log_cdf) > 0.0
     log_cdf, nodes = log_cdf[keep], nodes[keep]
+    # loaded on first use: no CLI command samples caps
+    from scipy.interpolate import PchipInterpolator
+
     return PchipInterpolator(log_cdf, nodes, extrapolate=False)
 
 

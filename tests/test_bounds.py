@@ -4,6 +4,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from relaycap import (
     minimize_entropy_difference,
     sweep,
 )
+from relaycap import bounds
 from relaycap.bounds import cf_quantization_variance
 
 P11 = ChannelParams(1.0, 1.0)
@@ -502,3 +504,56 @@ class TestProperties:
     def test_upper_bound_not_below_mpmath_oracle(self, snr, c0):
         p = ChannelParams.from_snr(snr)
         assert mp.mpf(capacity_upper_bound(p, c0)) >= mp_upper_bound(p.P, p.N, c0)
+
+
+def _scipy_brentq(f, xa, xb, fa, fb, xtol, rtol):
+    """bounds._brentq's signature over scipy's brentq, which evaluates f(xa), f(xb) itself."""
+    return scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+
+
+class TestBrentPort:
+    """bounds._brentq returns the very float scipy.optimize.brentq does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(snr=_snr(-4, 4), c0=st.floats(0.0, 100.0))
+    def test_bound_identical_with_scipy_brentq(self, snr, c0):
+        p = ChannelParams.from_snr(snr)
+        ours = capacity_upper_bound(p, c0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_brentq", _scipy_brentq)
+            theirs = capacity_upper_bound(p, c0)
+        assert ours == theirs
+
+    @settings(max_examples=200, deadline=None)
+    @given(log2_root=st.floats(-1000.0, -1.0), shape=st.sampled_from(["log", "power", "tanh"]))
+    def test_root_near_zero(self, log2_root, shape):
+        # xtol is the smallest normal float, so only rtol resolves the root
+        r = 2.0 ** log2_root
+        f = {
+            "log": lambda x: math.log2(x) - log2_root,
+            "power": lambda x: (x / r) ** 0.25 - 1.0,
+            "tanh": lambda x: math.tanh(x / r - 1.0),
+        }[shape]
+        lo, hi = r / 3.0, 1.0
+        args = (f, lo, hi, f(lo), f(hi), sys.float_info.min, 4.0 * EPS)
+        try:
+            theirs = _scipy_brentq(*args)
+        except RuntimeError:
+            # where rounding flattens f near the root (log at 2^-516) both
+            # bisect into the iteration cap
+            with pytest.raises(NumericalError):
+                bounds._brentq(*args)
+        else:
+            assert bounds._brentq(*args) == theirs
+
+    def test_iteration_cap_raises_numerical_error(self):
+        # a sign step near 0 leaves Brent only bisection, which needs ~1000
+        # halvings of [0, 1] to reach rtol at 1e-300
+        def step(x):
+            return -1.0 if x < 1e-300 else 1.0
+
+        args = (step, 0.0, 1.0, -1.0, 1.0, sys.float_info.min, 4.0 * EPS)
+        with pytest.raises(NumericalError):
+            bounds._brentq(*args)
+        with pytest.raises(RuntimeError):
+            _scipy_brentq(*args)

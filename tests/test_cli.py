@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from relaycap import montecarlo
@@ -191,15 +192,23 @@ class TestGeom:
         assert "pi/2" in err
 
     def test_cap_area_exponent_at_tiny_angle(self, capsys):
-        # sin(theta)^2 underflows to 0 here; 2 log2 sin(theta) does not.
-        # The record's log2_measure is -inf, written as -Infinity.
+        # sin(theta)^2 underflows to 0 here; 2 log2 sin(theta) and the
+        # small-angle form of the sin^98 integral do not.
         code, out, _ = run_cli(capsys, "geom", "cap-area", "--m", "100", "--theta", "1e-300")
         assert code == EXIT_OK
         row = json.loads(out)["rows"][0]
         assert row["asymptotic_exponent"] == pytest.approx(
             50 * (math.log2(2 * math.pi * math.e) + 2 * math.log2(1e-300)), rel=1e-12
         )
-        assert row["log2_measure"] == -math.inf
+        # 50-digit area of the cap: the (m-2)-sphere prefactor times
+        # int_0^theta sin^(m-2) = 1/2 int_0^(sin^2 theta) t^((m-3)/2) (1-t)^(-1/2) dt
+        with mp.workdps(50):
+            m, theta = 100, mp.mpf(1e-300)
+            half = mp.mpf(m - 1) / 2
+            area = (2 * mp.pi ** half / mp.gamma(half) * mp.sqrt(m) ** (m - 1)
+                    * mp.betainc(half, 0.5, 0, mp.sin(theta) ** 2) / 2)
+            expected = float(mp.log(area, 2))
+        assert row["log2_measure"] == pytest.approx(expected, rel=1e-15)
 
     def test_ball_intersect_at_tiny_distance(self, capsys):
         # R1 = R2 = 1, D = 1e-300: the expanded numerator of lambda cancels
@@ -432,3 +441,51 @@ class TestParserReuse:
         fresh = subprocess.run([sys.executable, "-m", "relaycap", *argv],
                                capture_output=True, env=env, check=True)
         assert out.encode() == fresh.stdout
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import relaycap.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+seen = [[0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([relaycap.cli.main(argv), scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+class TestImportFootprint:
+    """Which scipy modules a fresh interpreter holds after each command.
+
+    Set membership, not timing: importing the CLI loads numpy and no scipy,
+    and a command loads scipy.integrate only when it runs quadrature.
+    """
+
+    def test_scipy_loaded_only_for_quadrature(self):
+        numpy_only = [
+            ["gap", "--snr", "1", "--c0", "1"],
+            ["bounds-sweep", "--c0-steps", "1"],
+            ["mc", "concentration", "--m", "50", "--mu", "0.1", "--samples", "1000",
+             "--seed", "1"],
+            ["geom", "cap-area", "--m", "100", "--theta", "70", "--deg"],
+        ]
+        quadrature = ["geom", "cap-intersect", "--m", "100", "--theta", "70",
+                      "--theta2", "35", "--deg"]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        probe = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(numpy_only + [quadrature])],
+            capture_output=True, env=env, check=True, text=True,
+        )
+        *before, (code, loaded) = json.loads(probe.stdout)
+        for argv, step in zip([["import relaycap.cli"]] + numpy_only, before):
+            assert step == [EXIT_OK, []], argv
+        assert code == EXIT_OK
+        assert "scipy.integrate" in loaded
+        # scipy.integrate's own package imports scipy.optimize (its ODE and
+        # BVP solvers), so only scipy.interpolate can be held out here
+        assert "scipy.interpolate" not in loaded
