@@ -14,17 +14,13 @@ from .channel import (
     cutset_c0_threshold,
 )
 from .bounds import (
-    BoundCurve,
-    BoundFamily,
     GapCertificate,
-    OmegaSearchResult,
     capacity_upper_bound,
     compress_forward_rate,
     conditional_entropy_bound,
     cutset_bound,
     entropy_difference_bound,
     gap_certificate,
-    minimize_entropy_difference,
     sweep,
 )
 from .errors import DomainError, InvalidInput, NumericalError, UnsupportedSet
@@ -67,8 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BallIntersection",
     "BallPairSpec",
-    "BoundCurve",
-    "BoundFamily",
     "CapSpec",
     "ChannelParams",
     "DomainError",
@@ -79,7 +73,6 @@ __all__ = [
     "McReport",
     "MeasureKind",
     "NumericalError",
-    "OmegaSearchResult",
     "ShellCapIntersection",
     "ShellSet",
     "ShellSpec",
@@ -105,7 +98,6 @@ __all__ = [
     "log_shell_volume",
     "log_shellcap_intersection_bounds",
     "log_sphere_area",
-    "minimize_entropy_difference",
     "reg_inc_beta",
     "sample_uniform_cap",
     "sample_uniform_sphere",

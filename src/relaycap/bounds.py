@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 from .channel import ChannelParams, capacity_full_cooperation, capacity_no_relay
 from .errors import DomainError, InvalidInput, NumericalError
@@ -35,14 +34,6 @@ LN2 = math.log(2.0)
 HALF_PI = math.pi / 2.0
 _EPS = sys.float_info.epsilon
 _BRENT_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class OmegaSearchResult:
-    """Minimizer of the kernel over the open-left omega interval."""
-
-    omega_star: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -60,20 +51,6 @@ class GapCertificate:
     derivative_at_pi_half: float
     gap_lower_bound: float
     certified_bound: float
-
-
-class BoundFamily(Enum):
-    CUTSET = "cutset"
-    NEW_BOUND = "new_bound"
-    COMPRESS_FORWARD = "cf_rate"
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """(C0, rate) samples for one bound or achievable-rate family."""
-
-    family: BoundFamily
-    points: tuple[tuple[float, float], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +118,6 @@ def _inner_min(P: float, N: float, theta: float) -> tuple[float, float]:
     one_minus_c = co * ((2.0 * P + N) * co + r) / den
     q = 2.0 * P * s / den
     return one_minus_c, _kernel_cos(P, N, s, co, q * s, one_minus_c)
-
-
-def minimize_entropy_difference(params: ChannelParams, theta: float) -> OmegaSearchResult:
-    """Minimize the kernel over omega in (pi/2 - theta, pi/2], in closed form.
-
-    The minimizer is omega* = 2 asin(sqrt((1 - c*)/2)) with c* as in
-    _inner_min; the closed form is exact to float precision.  At
-    theta = pi/2 the infimum is the finite limit 0 approached as omega -> 0.
-    """
-    if not 0.0 < theta <= HALF_PI:
-        raise DomainError(f"theta must lie in (0, pi/2], got {theta}")
-    one_minus_c, value = _inner_min(params.P, params.N, theta)
-    # the half-angle form is exact as omega* -> 0; near pi/2 it can round
-    # one ulp past the interval's right end
-    omega_star = min(HALF_PI, 2.0 * math.asin(math.sqrt(one_minus_c / 2.0)))
-    return OmegaSearchResult(omega_star=omega_star, value=value)
 
 
 def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float,
@@ -380,23 +341,24 @@ def cf_quantization_variance(params: ChannelParams, c0: float) -> float:
         return 0.0
 
 
-def sweep(params: ChannelParams, c0_grid: list[float]) -> list[BoundCurve]:
-    """Evaluate cut-set, upper-bound, and compress-and-forward curves on a grid.
+def sweep(params: ChannelParams, c0_grid: list[float]) -> list[tuple[float, float, float, float]]:
+    """(C0, cut-set bound, upper bound, compress-and-forward rate) at each grid point.
 
-    The grid must be nonempty, finite, and strictly increasing.  Points are
-    evaluated in grid order, so output is deterministic.
+    The grid must be nonempty, finite, nonnegative, and strictly increasing.
+    Points are evaluated in grid order, so output is deterministic.
     """
     grid = [float(c) for c in c0_grid]
     if not grid:
         raise InvalidInput("C0 grid must be nonempty")
-    if any(not math.isfinite(c) for c in grid):
-        raise InvalidInput(f"C0 grid must be finite, got {grid}")
+    if any(not (math.isfinite(c) and c >= 0.0) for c in grid):
+        raise InvalidInput(f"C0 grid must be finite and >= 0, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInput("C0 grid must be strictly increasing")
 
-    def point(c0: float) -> tuple[float, float, float]:
+    def point(c0: float) -> tuple[float, float, float, float]:
         try:
             return (
+                c0,
                 cutset_bound(params, c0),
                 capacity_upper_bound(params, c0),
                 compress_forward_rate(params, c0),
@@ -404,18 +366,4 @@ def sweep(params: ChannelParams, c0_grid: list[float]) -> list[BoundCurve]:
         except Exception as exc:
             raise NumericalError(f"bound evaluation failed at C0={c0!r}: {exc}") from exc
 
-    rows = [point(c0) for c0 in grid]
-    return [
-        BoundCurve(
-            family=BoundFamily.CUTSET,
-            points=tuple((c0, r[0]) for c0, r in zip(grid, rows)),
-        ),
-        BoundCurve(
-            family=BoundFamily.NEW_BOUND,
-            points=tuple((c0, r[1]) for c0, r in zip(grid, rows)),
-        ),
-        BoundCurve(
-            family=BoundFamily.COMPRESS_FORWARD,
-            points=tuple((c0, r[2]) for c0, r in zip(grid, rows)),
-        ),
-    ]
+    return [point(c0) for c0 in grid]

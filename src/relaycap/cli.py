@@ -2,10 +2,13 @@
 
 Output is a single machine-readable record on stdout (JSON by default or
 CSV), with diagnostics on stderr.  Exit codes: 0 success / Monte Carlo
-pass, 2 invalid flags or violated preconditions, 3 numerical failure
-(inside a sweep, a certificate step below float64 range, or any other
-internal arithmetic or math-domain failure), 4 Monte Carlo fail, 5 Monte
-Carlo inconclusive.
+pass, 2 invalid flags, violated preconditions or an unwritable --out, 3
+numerical failure (inside a sweep, a certificate step below float64 range,
+or any other internal arithmetic or math-domain failure), 4 Monte Carlo
+fail, 5 Monte Carlo inconclusive.
+
+Each command declares its flags once in build_parser and returns its
+record with one dict per output row; the dict's keys are the columns.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bounds, channel, geometry, montecarlo
 from .errors import DomainError, InvalidInput, NumericalError, UnsupportedSet
@@ -46,19 +49,11 @@ def _fmt(value) -> str:
 
 @dataclass
 class OutputRecord:
-    """One command's machine-readable result: params plus column-named rows."""
+    """One command's machine-readable result: params plus rows keyed by column."""
 
     command: str
     params: dict
-    columns: list[str]
-    rows: list[dict] = field(default_factory=list)
-    schema_version: str = SCHEMA_VERSION
-
-    def add(self, **row) -> None:
-        missing = set(self.columns) - set(row)
-        if missing:
-            raise ValueError(f"row missing columns {sorted(missing)}")
-        self.rows.append({c: row[c] for c in self.columns})
+    rows: list[dict]
 
     def to_json(self) -> str:
         # Hand-rolled so floats appear as unquoted 17-significant-digit
@@ -83,7 +78,7 @@ class OutputRecord:
             raise TypeError(f"cannot serialize {type(v).__name__}")
 
         doc = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "params": self.params,
             "rows": self.rows,
@@ -91,10 +86,11 @@ class OutputRecord:
         return render(doc)
 
     def to_csv(self) -> str:
+        columns = list(self.rows[0])
         buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
+        buf.write(",".join(columns) + "\n")
         for row in self.rows:
-            buf.write(",".join(_fmt(row[c]) for c in self.columns) + "\n")
+            buf.write(",".join(_fmt(row[c]) for c in columns) + "\n")
         return buf.getvalue()
 
     def render(self, fmt: str) -> str:
@@ -103,14 +99,16 @@ class OutputRecord:
 
 def _emit(record: OutputRecord, args) -> None:
     text = record.render(args.format)
-    sys.stdout.write(text)
     if not text.endswith("\n"):
-        sys.stdout.write("\n")
+        text += "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        # before stdout, so an unwritable path prints no record
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write --out: {exc}") from exc
+    sys.stdout.write(text)
 
 
 def _angle(value: float, args) -> float:
@@ -118,11 +116,11 @@ def _angle(value: float, args) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its record and exit code
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bounds_sweep(args) -> int:
+def _cmd_bounds_sweep(args) -> tuple[OutputRecord, int]:
     snrs = args.snr if args.snr else [0.1, 1.0, 10.0]
     if args.c0_steps < 1:
         raise InvalidInput(f"--c0-steps must be >= 1, got {args.c0_steps}")
@@ -131,286 +129,229 @@ def _cmd_bounds_sweep(args) -> int:
     else:
         step = (args.c0_max - args.c0_min) / (args.c0_steps - 1)
         grid = [args.c0_min + i * step for i in range(args.c0_steps)]
-    record = OutputRecord(
-        command="bounds-sweep",
-        params={
-            "snr": snrs,
-            "c0_min": args.c0_min,
-            "c0_max": args.c0_max,
-            "c0_steps": args.c0_steps,
-        },
-        columns=["snr", "c0", "cutset", "new_bound", "cf_rate", "c_infinity"],
-    )
+    rows = []
     for snr in snrs:
         params = channel.ChannelParams.from_snr(snr)
         c_inf = channel.capacity_full_cooperation(params)
-        curves = bounds.sweep(params, grid)
-        by_family = {c.family: c.points for c in curves}
-        for i, c0 in enumerate(grid):
-            record.add(
-                snr=snr,
-                c0=c0,
-                cutset=by_family[bounds.BoundFamily.CUTSET][i][1],
-                new_bound=by_family[bounds.BoundFamily.NEW_BOUND][i][1],
-                cf_rate=by_family[bounds.BoundFamily.COMPRESS_FORWARD][i][1],
-                c_infinity=c_inf,
-            )
-    _emit(record, args)
-    return EXIT_OK
+        rows += [
+            {"snr": snr, "c0": c0, "cutset": cutset, "new_bound": new_bound,
+             "cf_rate": cf_rate, "c_infinity": c_inf}
+            for c0, cutset, new_bound, cf_rate in bounds.sweep(params, grid)
+        ]
+    params = {"snr": snrs, "c0_min": args.c0_min, "c0_max": args.c0_max,
+              "c0_steps": args.c0_steps}
+    return OutputRecord("bounds-sweep", params, rows), EXIT_OK
 
 
-def _cmd_gap(args) -> int:
+def _cmd_gap(args) -> tuple[OutputRecord, int]:
     if not (math.isfinite(args.c0) and args.c0 > 0):
         raise InvalidInput(f"--c0 must be finite and > 0, got {args.c0}")
     params = channel.ChannelParams.from_snr(args.snr)
     cert = bounds.gap_certificate(params, args.c0)
-    record = OutputRecord(
-        command="gap",
-        params={"snr": args.snr, "c0": args.c0},
-        columns=[
-            "theta0",
-            "delta1",
-            "derivative",
-            "gap_lower_bound",
-            "certified_bound",
-            "c_infinity",
-        ],
-    )
-    record.add(
-        theta0=cert.theta0,
-        delta1=cert.delta1,
-        derivative=cert.derivative_at_pi_half,
-        gap_lower_bound=cert.gap_lower_bound,
-        certified_bound=cert.certified_bound,
-        c_infinity=channel.capacity_full_cooperation(params),
-    )
-    _emit(record, args)
-    return EXIT_OK
+    row = {
+        "theta0": cert.theta0,
+        "delta1": cert.delta1,
+        "derivative": cert.derivative_at_pi_half,
+        "gap_lower_bound": cert.gap_lower_bound,
+        "certified_bound": cert.certified_bound,
+        "c_infinity": channel.capacity_full_cooperation(params),
+    }
+    return OutputRecord("gap", {"snr": args.snr, "c0": args.c0}, [row]), EXIT_OK
 
 
-def _cmd_geom(args) -> int:
-    sub = args.geom_command
-    n = args.n_scale
-    if sub == "cap-area":
-        theta = _angle(args.theta, args)
-        if args.m < 3 or not n > 0:
-            raise DomainError(f"cap-area needs m >= 3 and n_scale > 0, got m={args.m}, "
-                              f"n_scale={n}")
-        spec = geometry.CapSpec(args.m, math.sqrt(args.m * n), theta)
-        value = geometry.log_cap_area(spec).log2_value
-        exponent = (args.m / 2.0) * (
-            geometry.LOG2_2PIE + math.log2(n) + 2.0 * math.log2(math.sin(theta))
-        )
-        record = OutputRecord(
-            "geom cap-area",
-            {"m": args.m, "n_scale": n, "theta": theta},
-            ["m", "theta", "log2_measure", "asymptotic_exponent", "per_dim_gap"],
-        )
-        record.add(
-            m=args.m,
-            theta=theta,
-            log2_measure=value,
-            asymptotic_exponent=exponent,
-            per_dim_gap=(2.0 / args.m) * (value - exponent),
-        )
-    elif sub == "cap-intersect":
-        theta = _angle(args.theta, args)
-        theta2 = _angle(args.theta2, args)
-        value = geometry.log_cap_intersection(args.m, n, theta, theta2).log2_value
-        exponent = (args.m / 2.0) * geometry.cap_intersection_exponent(n, theta, theta2)
-        record = OutputRecord(
-            "geom cap-intersect",
-            {"m": args.m, "n_scale": n, "theta": theta, "theta2": theta2},
-            ["m", "theta", "theta2", "log2_measure", "asymptotic_exponent", "per_dim_gap"],
-        )
-        record.add(
-            m=args.m,
-            theta=theta,
-            theta2=theta2,
-            log2_measure=value,
-            asymptotic_exponent=exponent,
-            per_dim_gap=(2.0 / args.m) * (value - exponent),
-        )
-    elif sub == "shell-cap":
-        theta = _angle(args.theta, args)
-        spec = geometry.ShellSpec(args.m, n, args.delta)
-        if args.omega is not None:
-            omega = _angle(args.omega, args)
-            res = geometry.log_shellcap_intersection_bounds(spec, theta, omega)
-            record = OutputRecord(
-                "geom shell-cap",
-                {"m": args.m, "n_scale": n, "delta": args.delta, "theta": theta,
-                 "omega": omega},
-                ["m", "theta", "omega", "log2_measure", "lower_exponent",
-                 "upper_exponent", "per_dim_gap"],
-            )
-            record.add(
-                m=args.m,
-                theta=theta,
-                omega=omega,
-                log2_measure=res.exact.log2_value,
-                lower_exponent=res.lower.log2_value,
-                upper_exponent=res.upper.log2_value,
-                per_dim_gap=(2.0 / args.m)
-                * (res.exact.log2_value - res.lower.log2_value),
-            )
-        else:
-            value = geometry.log_shell_cap_volume(spec, theta).log2_value
-            half_m = args.m / 2.0
-            s2 = math.sin(theta) ** 2
-            lower = half_m * (geometry.LOG2_2PIE + math.log2((n - args.delta) * s2))
-            upper = half_m * (geometry.LOG2_2PIE + math.log2((n + args.delta) * s2))
-            record = OutputRecord(
-                "geom shell-cap",
-                {"m": args.m, "n_scale": n, "delta": args.delta, "theta": theta},
-                ["m", "theta", "log2_measure", "lower_exponent", "upper_exponent",
-                 "per_dim_gap"],
-            )
-            record.add(
-                m=args.m,
-                theta=theta,
-                log2_measure=value,
-                lower_exponent=lower,
-                upper_exponent=upper,
-                per_dim_gap=(2.0 / args.m) * (value - lower),
-            )
-    elif sub == "ball-intersect":
-        spec = geometry.BallPairSpec(args.m, args.r1, args.r2, args.d)
-        res = geometry.log_ball_intersection(spec)
-        record = OutputRecord(
-            "geom ball-intersect",
-            {"m": args.m, "r1": args.r1, "r2": args.r2, "d": args.d},
-            ["m", "lambda", "log2_measure", "bound_exponent", "per_dim_gap"],
-        )
-        record.add(
-            m=args.m,
-            **{"lambda": res.lambda_scale},
-            log2_measure=res.exact.log2_value,
-            bound_exponent=res.bound_log2,
-            per_dim_gap=(2.0 / args.m) * (res.exact.log2_value - res.bound_log2),
-        )
-    elif sub == "exponent":
-        theta = _angle(args.theta, args)
-        omega = _angle(args.omega, args)
-        value = geometry.cap_intersection_exponent(n, theta, omega)
-        record = OutputRecord(
-            "geom exponent",
-            {"n_scale": n, "theta": theta, "omega": omega},
-            ["theta", "omega", "exponent_per_two_dims"],
-        )
-        record.add(theta=theta, omega=omega, exponent_per_two_dims=value)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInput(f"unknown geom subcommand {sub!r}")
-    _emit(record, args)
-    return EXIT_OK
+def _per_dim_gap(m: int, value: float, reference: float) -> float:
+    return (2.0 / m) * (value - reference)
 
 
-def _build_sphere_set(args, m: int) -> montecarlo.SphereSet:
+# Each geom query returns (params, row).
+
+
+def _geom_cap_area(args) -> tuple[dict, dict]:
+    m, n = args.m, args.n_scale
     theta = _angle(args.theta, args)
-    if args.set == "cap":
-        return montecarlo.SphereSet.cap(m, theta)
+    if m < 3 or not n > 0:
+        raise DomainError(f"cap-area needs m >= 3 and n_scale > 0, got m={m}, n_scale={n}")
+    value = geometry.log_cap_area(geometry.CapSpec(m, math.sqrt(m * n), theta)).log2_value
+    exponent = (m / 2.0) * (
+        geometry.LOG2_2PIE + math.log2(n) + 2.0 * math.log2(math.sin(theta))
+    )
+    return {"m": m, "n_scale": n, "theta": theta}, {
+        "m": m, "theta": theta, "log2_measure": value, "asymptotic_exponent": exponent,
+        "per_dim_gap": _per_dim_gap(m, value, exponent),
+    }
+
+
+def _geom_cap_intersect(args) -> tuple[dict, dict]:
+    m, n = args.m, args.n_scale
+    theta, theta2 = _angle(args.theta, args), _angle(args.theta2, args)
+    value = geometry.log_cap_intersection(m, n, theta, theta2).log2_value
+    exponent = (m / 2.0) * geometry.cap_intersection_exponent(n, theta, theta2)
+    return {"m": m, "n_scale": n, "theta": theta, "theta2": theta2}, {
+        "m": m, "theta": theta, "theta2": theta2, "log2_measure": value,
+        "asymptotic_exponent": exponent, "per_dim_gap": _per_dim_gap(m, value, exponent),
+    }
+
+
+def _geom_shell_cap(args) -> tuple[dict, dict]:
+    m, n, delta = args.m, args.n_scale, args.delta
+    theta = _angle(args.theta, args)
+    spec = geometry.ShellSpec(m, n, delta)
+    if args.omega is None:
+        value = geometry.log_shell_cap_volume(spec, theta).log2_value
+        s2 = math.sin(theta) ** 2
+        lower = (m / 2.0) * (geometry.LOG2_2PIE + math.log2((n - delta) * s2))
+        upper = (m / 2.0) * (geometry.LOG2_2PIE + math.log2((n + delta) * s2))
+        return {"m": m, "n_scale": n, "delta": delta, "theta": theta}, {
+            "m": m, "theta": theta, "log2_measure": value, "lower_exponent": lower,
+            "upper_exponent": upper, "per_dim_gap": _per_dim_gap(m, value, lower),
+        }
+    omega = _angle(args.omega, args)
+    res = geometry.log_shellcap_intersection_bounds(spec, theta, omega)
+    value, lower = res.exact.log2_value, res.lower.log2_value
+    return {"m": m, "n_scale": n, "delta": delta, "theta": theta, "omega": omega}, {
+        "m": m, "theta": theta, "omega": omega, "log2_measure": value,
+        "lower_exponent": lower, "upper_exponent": res.upper.log2_value,
+        "per_dim_gap": _per_dim_gap(m, value, lower),
+    }
+
+
+def _geom_ball_intersect(args) -> tuple[dict, dict]:
+    res = geometry.log_ball_intersection(geometry.BallPairSpec(args.m, args.r1, args.r2, args.d))
+    value = res.exact.log2_value
+    return {"m": args.m, "r1": args.r1, "r2": args.r2, "d": args.d}, {
+        "m": args.m, "lambda": res.lambda_scale, "log2_measure": value,
+        "bound_exponent": res.bound_log2,
+        "per_dim_gap": _per_dim_gap(args.m, value, res.bound_log2),
+    }
+
+
+def _geom_exponent(args) -> tuple[dict, dict]:
+    theta, omega = _angle(args.theta, args), _angle(args.omega, args)
+    value = geometry.cap_intersection_exponent(args.n_scale, theta, omega)
+    return {"n_scale": args.n_scale, "theta": theta, "omega": omega}, {
+        "theta": theta, "omega": omega, "exponent_per_two_dims": value,
+    }
+
+
+_GEOM = {
+    "cap-area": _geom_cap_area,
+    "cap-intersect": _geom_cap_intersect,
+    "shell-cap": _geom_shell_cap,
+    "ball-intersect": _geom_ball_intersect,
+    "exponent": _geom_exponent,
+}
+
+
+def _cmd_geom(args) -> tuple[OutputRecord, int]:
+    params, row = _GEOM[args.geom_command](args)
+    return OutputRecord(f"geom {args.geom_command}", params, [row]), EXIT_OK
+
+
+def _sphere_set(args) -> montecarlo.SphereSet:
+    theta = _angle(args.theta, args)
     if args.set == "band":
-        return montecarlo.SphereSet.band_with_effective_angle(m, theta)
+        return montecarlo.SphereSet.band_with_effective_angle(args.m, theta)
     if args.set == "twocaps":
-        return montecarlo.SphereSet.two_caps_with_effective_angle(m, theta)
-    raise InvalidInput(f"unknown set shape {args.set!r}")
+        return montecarlo.SphereSet.two_caps_with_effective_angle(args.m, theta)
+    return montecarlo.SphereSet.cap(args.m, theta)
 
 
-def _mc_record(command: str, params: dict, report: montecarlo.McReport) -> OutputRecord:
-    record = OutputRecord(
-        command=command,
-        params=params,
-        columns=list(params) + ["estimate", "std_error", "n_used", "threshold",
-                                "verdict", "seed"],
+# Each mc experiment returns (params, report); params lead the output row.
+
+
+def _mc_concentration(args, cfg) -> tuple[dict, montecarlo.McReport]:
+    report = montecarlo.verify_concentration(args.m, args.mu, cfg)
+    return {"m": args.m, "mu": args.mu, "samples": args.samples}, report
+
+
+def _mc_blowup(args, cfg) -> tuple[dict, montecarlo.McReport]:
+    report = montecarlo.verify_blowup(_sphere_set(args), cfg)
+    return {"m": args.m, "set": args.set, "theta": _angle(args.theta, args),
+            "epsilon": args.epsilon, "samples": args.samples}, report
+
+
+def _mc_isoperimetry_sphere(args, cfg) -> tuple[dict, montecarlo.McReport]:
+    omega = _angle(args.omega, args)
+    report = montecarlo.verify_isoperimetry_sphere(_sphere_set(args), omega, cfg)
+    return {"m": args.m, "set": args.set, "theta": _angle(args.theta, args),
+            "omega": omega, "epsilon": args.epsilon, "trials": args.trials,
+            "samples": args.samples}, report
+
+
+def _mc_isoperimetry_shell(args, cfg) -> tuple[dict, montecarlo.McReport]:
+    spec = geometry.ShellSpec(args.m, args.n_scale, args.delta)
+    shell_set = montecarlo.ShellSet.extruded(
+        spec, _sphere_set(args), args.extrude_lo, args.extrude_hi
     )
-    record.add(
-        **params,
-        estimate=report.estimate,
-        std_error=report.std_error,
-        n_used=report.n_used,
-        threshold=report.threshold,
-        verdict=report.verdict.value,
-        seed=report.seed,
-    )
-    return record
-
-
-def _cmd_mc(args) -> int:
-    sub = args.mc_command
-    if sub == "concentration":
-        cfg = montecarlo.McConfig(
-            seed=args.seed, samples_per_estimate=args.samples, trials=1,
-            epsilon=args.epsilon,
-        )
-        report = montecarlo.verify_concentration(args.m, args.mu, cfg)
-        params = {"m": args.m, "mu": args.mu, "samples": args.samples}
-    elif sub == "blowup":
-        cfg = montecarlo.McConfig(
-            seed=args.seed, samples_per_estimate=args.samples, trials=1,
-            epsilon=args.epsilon,
-        )
-        sphere_set = _build_sphere_set(args, args.m)
-        report = montecarlo.verify_blowup(args.m, sphere_set, args.epsilon, cfg)
-        params = {
-            "m": args.m, "set": args.set,
-            "theta": _angle(args.theta, args), "epsilon": args.epsilon,
-            "samples": args.samples,
-        }
-    elif sub == "isoperimetry-sphere":
-        cfg = montecarlo.McConfig(
-            seed=args.seed, samples_per_estimate=args.samples, trials=args.trials,
-            epsilon=args.epsilon,
-            angular_slack=_angle(args.angular_slack, args)
-            if args.angular_slack is not None else None,
-        )
-        sphere_set = _build_sphere_set(args, args.m)
-        report = montecarlo.verify_isoperimetry_sphere(
-            args.m, sphere_set, _angle(args.omega, args), cfg
-        )
-        params = {
-            "m": args.m, "set": args.set,
-            "theta": _angle(args.theta, args), "omega": _angle(args.omega, args),
-            "epsilon": args.epsilon, "trials": args.trials, "samples": args.samples,
-        }
-    elif sub == "isoperimetry-shell":
-        cfg = montecarlo.McConfig(
-            seed=args.seed, samples_per_estimate=args.samples, trials=args.trials,
-            epsilon=args.epsilon,
-            angular_slack=_angle(args.angular_slack, args)
-            if args.angular_slack is not None else None,
-        )
-        spec = geometry.ShellSpec(args.m, args.n_scale, args.delta)
-        angular = _build_sphere_set(args, args.m)
-        shell_set = montecarlo.ShellSet.extruded(
-            spec, angular, args.extrude_lo, args.extrude_hi
-        )
-        report = montecarlo.verify_isoperimetry_shell(
-            shell_set, _angle(args.omega, args), cfg
-        )
-        params = {
-            "m": args.m, "n_scale": args.n_scale, "delta": args.delta,
-            "set": args.set, "theta": _angle(args.theta, args),
-            "omega": _angle(args.omega, args), "epsilon": args.epsilon,
+    omega = _angle(args.omega, args)
+    report = montecarlo.verify_isoperimetry_shell(shell_set, omega, cfg)
+    return {"m": args.m, "n_scale": args.n_scale, "delta": args.delta, "set": args.set,
+            "theta": _angle(args.theta, args), "omega": omega, "epsilon": args.epsilon,
             "trials": args.trials, "samples": args.samples,
-            "extrude_lo": args.extrude_lo, "extrude_hi": args.extrude_hi,
-        }
-    else:  # pragma: no cover
-        raise InvalidInput(f"unknown mc subcommand {sub!r}")
-    record = _mc_record(f"mc {sub}", params, report)
-    _emit(record, args)
-    return _VERDICT_EXIT[report.verdict]
+            "extrude_lo": args.extrude_lo, "extrude_hi": args.extrude_hi}, report
+
+
+_MC = {
+    "concentration": _mc_concentration,
+    "blowup": _mc_blowup,
+    "isoperimetry-sphere": _mc_isoperimetry_sphere,
+    "isoperimetry-shell": _mc_isoperimetry_shell,
+}
+
+
+def _cmd_mc(args) -> tuple[OutputRecord, int]:
+    # only the isoperimetry commands run trials; concentration reads no epsilon
+    slack = getattr(args, "angular_slack", None)
+    cfg = montecarlo.McConfig(
+        seed=args.seed,
+        samples_per_estimate=args.samples,
+        trials=getattr(args, "trials", 1),
+        epsilon=getattr(args, "epsilon", 0.1),
+        angular_slack=None if slack is None else _angle(slack, args),
+    )
+    params, report = _MC[args.mc_command](args, cfg)
+    row = {
+        **params,
+        "estimate": report.estimate,
+        "std_error": report.std_error,
+        "n_used": report.n_used,
+        "threshold": report.threshold,
+        "verdict": report.verdict.value,
+        "seed": report.seed,
+    }
+    return OutputRecord(f"mc {args.mc_command}", params, [row]), _VERDICT_EXIT[report.verdict]
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+_ANGLE_FLAGS = {"--theta", "--theta2", "--omega", "--angular-slack"}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="also write the record to this path")
-    parser.add_argument("--format", choices=("csv", "json"), default="json")
-    parser.add_argument("--deg", action="store_true",
-                        help="interpret angle flags as degrees")
+
+def _required(kind):
+    return {"type": kind, "required": True}
+
+
+def _optional(kind, default):
+    return {"type": kind, "default": default}
+
+
+def _command(subparsers, name: str, func, flags: list, **kwargs) -> None:
+    """Add command `name` with `flags` ((option, add_argument keywords) pairs).
+
+    Every command also takes --out and --format; --deg comes only with an
+    angle flag.
+    """
+    p = subparsers.add_parser(name, **kwargs)
+    for option, options in flags:
+        p.add_argument(option, **options)
+    p.add_argument("--out", default=None, help="also write the record to this path")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
+    if any(option in _ANGLE_FLAGS for option, _ in flags):
+        p.add_argument("--deg", action="store_true",
+                       help="interpret angle flags as degrees")
+    p.set_defaults(func=func)
 
 
 @functools.cache
@@ -427,78 +368,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bounds-sweep", help="evaluate bound curves on a C0 grid")
-    p.add_argument("--snr", type=float, action="append",
-                   help="P/N (repeatable; default 0.1, 1, 10)")
-    p.add_argument("--c0-min", type=float, default=0.05)
-    p.add_argument("--c0-max", type=float, default=3.0)
-    p.add_argument("--c0-steps", type=int, default=60)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bounds_sweep)
+    _command(sub, "bounds-sweep", _cmd_bounds_sweep, [
+        ("--snr", {"type": float, "action": "append",
+                   "help": "P/N (repeatable; default 0.1, 1, 10)"}),
+        ("--c0-min", _optional(float, 0.05)),
+        ("--c0-max", _optional(float, 3.0)),
+        ("--c0-steps", _optional(int, 60)),
+    ], help="evaluate bound curves on a C0 grid")
+    _command(sub, "gap", _cmd_gap, [
+        ("--snr", _required(float)),
+        ("--c0", _required(float)),
+    ], help="strict-gap certificate below full cooperation")
 
-    p = sub.add_parser("gap", help="strict-gap certificate below full cooperation")
-    p.add_argument("--snr", type=float, required=True)
-    p.add_argument("--c0", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gap)
+    geom = sub.add_parser("geom", help="log-domain geometry queries").add_subparsers(
+        dest="geom_command", required=True
+    )
+    m = ("--m", _optional(int, 100))
+    n_scale = ("--n-scale", _optional(float, 1.0))
+    theta = ("--theta", _required(float))
+    delta = ("--delta", _optional(float, 0.1))
+    _command(geom, "cap-area", _cmd_geom, [m, n_scale, theta])
+    _command(geom, "cap-intersect", _cmd_geom, [m, n_scale, theta,
+                                                ("--theta2", _required(float))])
+    _command(geom, "shell-cap", _cmd_geom, [m, n_scale, theta,
+                                            ("--omega", _optional(float, None)), delta])
+    _command(geom, "ball-intersect", _cmd_geom, [
+        m, ("--r1", _required(float)), ("--r2", _required(float)), ("--d", _required(float)),
+    ])
+    _command(geom, "exponent", _cmd_geom, [n_scale, theta, ("--omega", _required(float))])
 
-    p = sub.add_parser("geom", help="log-domain geometry queries")
-    geom_sub = p.add_subparsers(dest="geom_command", required=True)
-    for name in ("cap-area", "cap-intersect", "shell-cap", "ball-intersect", "exponent"):
-        g = geom_sub.add_parser(name)
-        g.add_argument("--m", type=int, default=100)
-        g.add_argument("--n-scale", type=float, default=1.0)
-        if name in ("cap-area", "cap-intersect", "shell-cap", "exponent"):
-            g.add_argument("--theta", type=float, required=True)
-        if name == "cap-intersect":
-            g.add_argument("--theta2", type=float, required=True)
-        if name in ("shell-cap", "exponent"):
-            g.add_argument("--omega", type=float, default=None,
-                           required=(name == "exponent"))
-        if name == "shell-cap":
-            g.add_argument("--delta", type=float, default=0.1)
-        if name == "ball-intersect":
-            g.add_argument("--r1", type=float, required=True)
-            g.add_argument("--r2", type=float, required=True)
-            g.add_argument("--d", type=float, required=True)
-        _add_common(g)
-        g.set_defaults(func=_cmd_geom)
-
-    p = sub.add_parser("mc", help="seeded Monte Carlo experiments")
-    mc_sub = p.add_subparsers(dest="mc_command", required=True)
-    for name in ("concentration", "blowup", "isoperimetry-sphere", "isoperimetry-shell"):
-        g = mc_sub.add_parser(name)
-        g.add_argument("--m", type=int, required=True)
-        g.add_argument("--seed", type=int, default=0)
-        g.add_argument("--samples", type=int, default=10000)
-        g.add_argument("--epsilon", type=float, default=0.1)
-        if name == "concentration":
-            g.add_argument("--mu", type=float, required=True)
-        else:
-            g.add_argument("--set", choices=("cap", "band", "twocaps"), default="cap")
-            g.add_argument("--theta", type=float, required=True,
-                           help="target effective angle of the set")
-        if name.startswith("isoperimetry"):
-            g.add_argument("--omega", type=float, required=True)
-            g.add_argument("--trials", type=int, default=200)
-            g.add_argument("--angular-slack", type=float, default=None,
-                           help="override the angular slack (defaults to epsilon)")
-        if name == "isoperimetry-shell":
-            g.add_argument("--n-scale", type=float, default=1.0)
-            g.add_argument("--delta", type=float, default=0.1)
-            g.add_argument("--extrude-lo", type=float, default=0.0)
-            g.add_argument("--extrude-hi", type=float, default=1.0)
-        _add_common(g)
-        g.set_defaults(func=_cmd_mc)
+    mc = sub.add_parser("mc", help="seeded Monte Carlo experiments").add_subparsers(
+        dest="mc_command", required=True
+    )
+    common = [("--m", _required(int)), ("--seed", _optional(int, 0)),
+              ("--samples", _optional(int, 10000))]
+    sets = [
+        ("--epsilon", _optional(float, 0.1)),
+        ("--set", {"choices": ("cap", "band", "twocaps"), "default": "cap"}),
+        ("--theta", {**_required(float), "help": "target effective angle of the set"}),
+    ]
+    trials = [
+        ("--omega", _required(float)),
+        ("--trials", _optional(int, 200)),
+        ("--angular-slack", {**_optional(float, None),
+                             "help": "override the angular slack (defaults to epsilon)"}),
+    ]
+    _command(mc, "concentration", _cmd_mc, [*common, ("--mu", _required(float))])
+    _command(mc, "blowup", _cmd_mc, [*common, *sets])
+    _command(mc, "isoperimetry-sphere", _cmd_mc, [*common, *sets, *trials])
+    _command(mc, "isoperimetry-shell", _cmd_mc, [
+        *common, *sets, *trials, n_scale, delta,
+        ("--extrude-lo", _optional(float, 0.0)), ("--extrude-hi", _optional(float, 1.0)),
+    ])
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        record, code = args.func(args)
+        _emit(record, args)
+        return code
     except (DomainError, InvalidInput, UnsupportedSet) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE

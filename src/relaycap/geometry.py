@@ -391,19 +391,27 @@ def log_cap_area_quadrature(spec: CapSpec) -> LogMeasure:
     return LogMeasure(value, MeasureKind.SURFACE_AREA)
 
 
+def _sin2_minus_cos2(theta: float, omega: float) -> float:
+    """sin^2 theta - cos^2 omega; positive when orthogonal-pole caps overlap.
+
+    Taken in the swap-symmetric form sin^2 theta + sin^2 omega - 1, so the
+    result is bit-identical under argument exchange.
+    """
+    return math.sin(theta) ** 2 + math.sin(omega) ** 2 - 1.0
+
+
 def cap_intersection_exponent(n_scale: float, theta: float, omega: float) -> float:
     """Per-two-dimensions exponent log2(2 pi e N (sin^2 theta - cos^2 omega)).
 
     This is the asymptotic growth rate (per pair of dimensions) shared by
     the cap-cap and shell-cap intersection measures with orthogonal poles.
-    Computed in the swap-symmetric form sin^2 theta + sin^2 omega - 1 so the
-    result is bit-identical under argument exchange.
+    Bit-identical under argument exchange (see _sin2_minus_cos2).
     """
     if not n_scale > 0:
         raise DomainError(f"scale must be > 0, got {n_scale}")
     if not (math.isfinite(theta) and math.isfinite(omega)):
         raise DomainError(f"angles must be finite, got theta={theta}, omega={omega}")
-    d = math.sin(theta) ** 2 + math.sin(omega) ** 2 - 1.0
+    d = _sin2_minus_cos2(theta, omega)
     if d <= 0.0:
         raise DomainError(
             f"need sin^2(theta) > cos^2(omega), violated: sin^2+sin^2-1 = {d}"
@@ -457,7 +465,7 @@ def log_cap_intersection(m: int, n_scale: float, theta1: float, theta2: float) -
         if not 0.0 < th <= math.pi / 2.0:
             raise DomainError(f"{label} must lie in (0, pi/2], got {th}")
     gap = theta1 + theta2 - math.pi / 2.0
-    if math.sin(theta1) ** 2 + math.sin(theta2) ** 2 - 1.0 <= 0.0:
+    if _sin2_minus_cos2(theta1, theta2) <= 0.0:
         raise DomainError(
             "empty-interior regime: need theta1 + theta2 > pi/2, "
             f"got theta1={theta1}, theta2={theta2}"
@@ -550,7 +558,7 @@ def log_shellcap_intersection_bounds(
     base_R = math.sqrt(spec.m * spec.N)
     radial = _log2_radial_integral(spec.m, base_R, spec.r_lower, spec.r_upper)
     exact = LogMeasure(base.log2_value + radial, MeasureKind.VOLUME, base.near_degenerate)
-    d = math.sin(theta) ** 2 + math.sin(omega) ** 2 - 1.0
+    d = _sin2_minus_cos2(theta, omega)
     half_m = spec.m / 2.0
     lower = LogMeasure(
         half_m * (LOG2_2PIE + math.log2(spec.N) + math.log2(d)), MeasureKind.VOLUME

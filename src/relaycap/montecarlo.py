@@ -681,12 +681,12 @@ def verify_concentration(m: int, mu_cut: float, cfg: McConfig) -> McReport:
     )
 
 
-def verify_blowup(m: int, sphere_set: SphereSet, epsilon: float, cfg: McConfig) -> McReport:
-    """P(Y within angle pi/2 - theta + epsilon of the set) against 1 - epsilon."""
-    if sphere_set.m != m:
-        raise DomainError("set dimension does not match m")
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+def verify_blowup(sphere_set: SphereSet, cfg: McConfig) -> McReport:
+    """P(Y within angle pi/2 - theta + epsilon of the set) against 1 - epsilon.
+
+    epsilon is cfg.epsilon, which McConfig has already checked.
+    """
+    m, epsilon = sphere_set.m, cfg.epsilon
     theta = sphere_set.effective_theta
     if theta <= 0.0:
         raise DomainError("set must have positive effective angle")
@@ -786,14 +786,14 @@ def _isoperimetry_trials(
 
 
 def verify_isoperimetry_sphere(
-    m: int, sphere_set: SphereSet, omega: float, cfg: McConfig, n_scale: float = 1.0
+    sphere_set: SphereSet, omega: float, cfg: McConfig, n_scale: float = 1.0
 ) -> McReport:
     """Cap-intersection verification on the sphere of radius sqrt(m n_scale).
 
-    V is the orthogonal-pole cap intersection volume by quadrature.
+    m is the set's dimension; V is the orthogonal-pole cap intersection
+    volume by quadrature.
     """
-    if sphere_set.m != m:
-        raise DomainError("set dimension does not match m")
+    m = sphere_set.m
     return _isoperimetry_trials(
         sphere_set,
         sphere_set,

@@ -202,7 +202,7 @@ def test_10_random_cap_intersection_property():
         "twocaps": SphereSet.two_caps_with_effective_angle(m, deg(70)),
     }
     for name, sphere_set in sets.items():
-        rep = verify_isoperimetry_sphere(m, sphere_set, deg(35), cfg)
+        rep = verify_isoperimetry_sphere(sphere_set, deg(35), cfg)
         fractions[name] = rep.estimate
         ok &= rep.estimate >= 0.9
     spec = ShellSpec(200, 1.0, 0.1)

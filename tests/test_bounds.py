@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relaycap import (
-    BoundFamily,
     ChannelParams,
     DomainError,
     InvalidInput,
@@ -22,7 +22,6 @@ from relaycap import (
     cutset_bound,
     entropy_difference_bound,
     gap_certificate,
-    minimize_entropy_difference,
     sweep,
 )
 from relaycap import bounds
@@ -31,6 +30,16 @@ from relaycap.bounds import cf_quantization_variance
 P11 = ChannelParams(1.0, 1.0)
 HALF_PI = math.pi / 2
 EPS = sys.float_info.epsilon
+
+
+def kernel_min(p, theta):
+    """(omega*, k*): the kernel's minimizer over omega and its minimum value.
+
+    omega* = 2 asin(sqrt((1 - c*)/2)) from the closed-form 1 - c*; near pi/2
+    the half-angle form can round one ulp past the interval's right end.
+    """
+    one_minus_c, value = bounds._inner_min(p.P, p.N, theta)
+    return min(HALF_PI, 2.0 * math.asin(math.sqrt(one_minus_c / 2.0))), value
 
 
 def np_kernel(P, N, theta, omega):
@@ -129,34 +138,34 @@ class TestKernel:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_conditional_entropy_minimum_vanishes_at_pi_half(self):
-        r = minimize_entropy_difference(P11, HALF_PI)
+        _, value = kernel_min(P11, HALF_PI)
         # at theta = pi/2 the two bounds coincide (log sin = 0)
-        assert abs(r.value) <= 1e-6
+        assert abs(value) <= 1e-6
 
 
 class TestMinimize:
     @pytest.mark.parametrize("theta", [0.3, 0.8, 1.3, HALF_PI])
     def test_against_dense_grid(self, theta):
-        r = minimize_entropy_difference(P11, theta)
+        _, value = kernel_min(P11, theta)
         grid = np.linspace(HALF_PI - theta + 1e-9, HALF_PI, 1_000_000)
         dense = float(np.min(np_kernel(1.0, 1.0, theta, grid)))
-        assert r.value <= dense + 1e-9
-        assert abs(r.value - dense) <= 1e-7
+        assert value <= dense + 1e-9
+        assert abs(value - dense) <= 1e-7
 
     def test_never_exceeds_right_endpoint(self):
         for theta in (0.2, 0.7, 1.1, HALF_PI):
-            r = minimize_entropy_difference(P11, theta)
-            assert r.value <= entropy_difference_bound(P11, theta, HALF_PI) + 1e-15
+            _, value = kernel_min(P11, theta)
+            assert value <= entropy_difference_bound(P11, theta, HALF_PI) + 1e-15
 
     def test_minimizer_in_open_interval(self):
         for theta in (0.4, 1.0, HALF_PI):
-            r = minimize_entropy_difference(P11, theta)
-            assert HALF_PI - theta < r.omega_star <= HALF_PI
-            assert math.isfinite(r.value)
+            omega_star, value = kernel_min(P11, theta)
+            assert HALF_PI - theta < omega_star <= HALF_PI
+            assert math.isfinite(value)
 
     def test_domain_error_at_zero(self):
         with pytest.raises(DomainError):
-            minimize_entropy_difference(P11, 0.0)
+            kernel_min(P11, 0.0)
 
 
 class TestCutset:
@@ -338,18 +347,16 @@ class TestCompressForward:
 class TestSweep:
     def test_families_and_order(self):
         grid = [0.2, 0.5, 1.0]
-        curves = sweep(P11, grid)
-        assert [c.family for c in curves] == [
-            BoundFamily.CUTSET,
-            BoundFamily.NEW_BOUND,
-            BoundFamily.COMPRESS_FORWARD,
-        ]
-        for c in curves:
-            assert [pt[0] for pt in c.points] == grid
+        rows = sweep(P11, grid)
+        assert [row[0] for row in rows] == grid
+        for c0, cutset, new_bound, cf_rate in rows:
+            assert cutset == cutset_bound(P11, c0)
+            assert new_bound == capacity_upper_bound(P11, c0)
+            assert cf_rate == compress_forward_rate(P11, c0)
 
     def test_singleton_grid(self):
-        curves = sweep(P11, [1.0])
-        assert all(len(c.points) == 1 for c in curves)
+        rows = sweep(P11, [1.0])
+        assert len(rows) == 1 and len(rows[0]) == 4
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInput):
@@ -358,10 +365,19 @@ class TestSweep:
             sweep(P11, [0.5, 0.5])
         with pytest.raises(InvalidInput):
             sweep(P11, [0.5, math.inf])
-
-    def test_point_failure_names_offender(self):
-        with pytest.raises(NumericalError, match="C0=-1.0"):
+        with pytest.raises(InvalidInput):
             sweep(P11, [-1.0, 0.5])
+        assert sweep(P11, [0.0])[0][0] == 0.0
+
+    def test_point_failure_names_offender(self, monkeypatch):
+        def boom(params, c0):
+            if c0 == 0.5:
+                raise FloatingPointError("synthetic")
+            return capacity_full_cooperation(params)
+
+        monkeypatch.setattr(bounds, "capacity_upper_bound", boom)
+        with pytest.raises(NumericalError, match="C0=0.5"):
+            sweep(P11, [0.25, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +449,7 @@ class TestProperties:
     def test_kstar_nonincreasing_in_theta(self, snr):
         p = ChannelParams.from_snr(snr)
         thetas = np.linspace(HALF_PI / 4000, HALF_PI, 4000)
-        vals = [minimize_entropy_difference(p, float(t)).value for t in thetas]
+        vals = [kernel_min(p, float(t))[1] for t in thetas]
         rises = np.diff(vals)
         assert np.all(rises <= 8 * EPS), float(np.max(rises))
 
@@ -443,6 +459,9 @@ class TestProperties:
         theta=st.floats(0.0, HALF_PI, exclude_min=True),
         u=st.floats(0.0, 1.0, exclude_min=True),
     )
+    # theta below half an ulp of pi/2, where the float HALF_PI - theta rounds
+    # up to HALF_PI
+    @example(snr=1.0, theta=9.610770977609913e-17, u=1.0)
     def test_kstar_below_kernel(self, snr, theta, u):
         p = ChannelParams.from_snr(snr)
         omega = HALF_PI - (1.0 - u) * theta
@@ -450,9 +469,10 @@ class TestProperties:
             k = entropy_difference_bound(p, theta, omega)
         except DomainError:
             assume(False)
-        r = minimize_entropy_difference(p, theta)
-        assert HALF_PI - theta < r.omega_star <= HALF_PI
-        assert r.value <= k + 8 * EPS * (1 + abs(k))
+        omega_star, value = kernel_min(p, theta)
+        # the interval check in exact rational arithmetic on these floats
+        assert Fraction(HALF_PI) - Fraction(theta) < Fraction(omega_star) <= Fraction(HALF_PI)
+        assert value <= k + 8 * EPS * (1 + abs(k))
 
     @settings(max_examples=200, deadline=None)
     @given(snr=_snr(-4, 4), c0=st.floats(0.0, 20.0))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -95,6 +96,20 @@ class TestBoundsSweep:
             assert math.isfinite(row["new_bound"])
             assert row["new_bound"] <= row["cutset"] <= row["c_infinity"]
 
+
+    def test_negative_c0_is_usage(self, capsys):
+        code, out, err = run_cli(capsys, "bounds-sweep", "--snr", "1", "--c0-min", "-1",
+                                 "--c0-steps", "1")
+        assert code == EXIT_USAGE
+        assert not out
+        assert "invalid input" in err and ">= 0" in err
+
+    def test_zero_c0_is_valid(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds-sweep", "--snr", "1", "--c0-min", "0",
+                               "--c0-steps", "1")
+        assert code == EXIT_OK
+        row = json.loads(out)["rows"][0]
+        assert row["c0"] == 0.0 and row["new_bound"] == row["cutset"]
 
     def test_tol_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
@@ -322,6 +337,15 @@ class TestOutput:
         assert code == EXIT_OK
         assert path.read_text() == out
 
+    def test_unwritable_out_is_usage(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "record.json"
+        code, out, err = run_cli(capsys, "gap", "--snr", "1", "--c0", "1",
+                                 "--out", str(path))
+        assert code == EXIT_USAGE
+        assert not out
+        assert err.startswith("invalid input: ")
+        assert not path.exists()
+
     def test_repeat_run_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["mc", "isoperimetry-sphere", "--m", "60", "--set", "band",
@@ -338,8 +362,8 @@ class TestOutput:
         assert row["c_infinity"] == 0.5 * math.log2(3.0)
 
     def test_non_finite_floats_round_trip(self):
-        record = OutputRecord("test", {"x": math.inf}, ["a", "b", "c", "d"])
-        record.add(a=-math.inf, b=math.nan, c=0.1, d=[math.inf, 1.5])
+        record = OutputRecord("test", {"x": math.inf},
+                              [{"a": -math.inf, "b": math.nan, "c": 0.1, "d": [math.inf, 1.5]}])
         text = record.to_json()
         assert '"a": -Infinity, "b": NaN, "c": 0.10000000000000001' in text
         doc = json.loads(text)
@@ -393,6 +417,64 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert "invalid input" in err
+
+
+_OUTPUT = {"--out", "--format"}
+_M_SCALE_THETA = {"--m", "--n-scale", "--theta", "--deg"}
+_MC = {"--m", "--seed", "--samples"}
+_MC_SET = _MC | {"--epsilon", "--set", "--theta", "--deg"}
+_MC_ISO = _MC_SET | {"--omega", "--trials", "--angular-slack"}
+
+# Every command's accepted options: the flags its handler reads plus the
+# output flags, and --deg only beside an angle flag.
+OPTIONS = {
+    "bounds-sweep": {"--snr", "--c0-min", "--c0-max", "--c0-steps"},
+    "gap": {"--snr", "--c0"},
+    "geom cap-area": _M_SCALE_THETA,
+    "geom cap-intersect": _M_SCALE_THETA | {"--theta2"},
+    "geom shell-cap": _M_SCALE_THETA | {"--omega", "--delta"},
+    "geom ball-intersect": {"--m", "--r1", "--r2", "--d"},
+    "geom exponent": {"--n-scale", "--theta", "--omega", "--deg"},
+    "mc concentration": _MC | {"--mu"},
+    "mc blowup": _MC_SET,
+    "mc isoperimetry-sphere": _MC_ISO,
+    "mc isoperimetry-shell": _MC_ISO | {"--n-scale", "--delta", "--extrude-lo",
+                                        "--extrude-hi"},
+}
+
+
+def _leaf_options(parser, prefix=()):
+    """{command: option strings} for every leaf command under `parser`."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {name: opts for sub_name, sub in action.choices.items()
+                    for name, opts in _leaf_options(sub, prefix + (sub_name,)).items()}
+    return {" ".join(prefix): {s for a in parser._actions for s in a.option_strings}
+            - {"-h", "--help"}}
+
+
+class TestOptions:
+    def test_each_command_takes_only_its_flags(self):
+        expected = {name: flags | _OUTPUT for name, flags in OPTIONS.items()}
+        assert _leaf_options(build_parser()) == expected
+        assert sum(len(flags) for flags in expected.values()) == 86
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds-sweep", "--snr", "1", "--c0-steps", "1", "--deg"],
+        ["gap", "--snr", "1", "--c0", "1", "--deg"],
+        ["geom", "ball-intersect", "--r1", "1", "--r2", "1", "--d", "1", "--deg"],
+        ["geom", "ball-intersect", "--r1", "1", "--r2", "1", "--d", "1", "--n-scale", "2"],
+        ["geom", "exponent", "--theta", "1.2", "--omega", "0.7", "--m", "100"],
+        ["mc", "concentration", "--m", "10", "--mu", "0.5", "--deg"],
+        ["mc", "concentration", "--m", "10", "--mu", "0.5", "--epsilon", "0.1"],
+    ], ids=["bounds-sweep --deg", "gap --deg", "ball-intersect --deg",
+            "ball-intersect --n-scale", "exponent --m", "concentration --deg",
+            "concentration --epsilon"])
+    def test_removed_flag_is_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -563,19 +563,19 @@ class TestConcentration:
 class TestBlowup:
     def test_cap_neighborhood(self):
         cfg = McConfig(seed=5, samples_per_estimate=20_000, trials=1, epsilon=0.1)
-        rep = verify_blowup(500, SphereSet.cap(500, deg(70)), 0.1, cfg)
+        rep = verify_blowup(SphereSet.cap(500, deg(70)), cfg)
         assert rep.estimate >= rep.threshold
         assert rep.verdict is Verdict.PASS
 
     def test_band_neighborhood(self):
         cfg = McConfig(seed=5, samples_per_estimate=20_000, trials=1, epsilon=0.1)
         s = SphereSet.band_with_effective_angle(500, deg(70))
-        rep = verify_blowup(500, s, 0.1, cfg)
+        rep = verify_blowup(s, cfg)
         assert rep.verdict is Verdict.PASS
 
     def test_large_epsilon_trivial(self):
         cfg = McConfig(seed=5, samples_per_estimate=2_000, trials=1, epsilon=0.99)
-        rep = verify_blowup(50, SphereSet.cap(50, deg(45)), 0.99, cfg)
+        rep = verify_blowup(SphereSet.cap(50, deg(45)), cfg)
         assert rep.verdict is Verdict.PASS
 
 
@@ -583,26 +583,26 @@ class TestIsoperimetrySphere:
     CFG = McConfig(seed=17, samples_per_estimate=3000, trials=50, epsilon=0.1)
 
     def test_cap_set_passes(self):
-        rep = verify_isoperimetry_sphere(150, SphereSet.cap(150, deg(70)), deg(35), self.CFG)
+        rep = verify_isoperimetry_sphere(SphereSet.cap(150, deg(70)), deg(35), self.CFG)
         assert rep.estimate >= 0.9
         assert rep.verdict is Verdict.PASS
 
     def test_band_set_passes(self):
         s = SphereSet.band_with_effective_angle(150, deg(70))
-        rep = verify_isoperimetry_sphere(150, s, deg(35), self.CFG)
+        rep = verify_isoperimetry_sphere(s, deg(35), self.CFG)
         assert rep.verdict is Verdict.PASS
 
     def test_determinism_bit_identical(self):
         s = SphereSet.cap(60, deg(70))
-        a = verify_isoperimetry_sphere(60, s, deg(35), self.CFG)
-        b = verify_isoperimetry_sphere(60, s, deg(35), self.CFG)
+        a = verify_isoperimetry_sphere(s, deg(35), self.CFG)
+        b = verify_isoperimetry_sphere(s, deg(35), self.CFG)
         assert a == b
 
     def test_success_fraction_nondecreasing_in_m(self):
         cfg = McConfig(seed=13, samples_per_estimate=3000, trials=60, epsilon=0.1)
         fracs, ses = [], []
         for m in (50, 100, 200, 400):
-            rep = verify_isoperimetry_sphere(m, SphereSet.cap(m, deg(70)), deg(35), cfg)
+            rep = verify_isoperimetry_sphere(SphereSet.cap(m, deg(70)), deg(35), cfg)
             fracs.append(rep.estimate)
             ses.append(rep.std_error)
         for i in range(len(fracs) - 1):
@@ -611,13 +611,13 @@ class TestIsoperimetrySphere:
     def test_degenerate_slack_covers_sphere(self):
         cfg = McConfig(seed=2, samples_per_estimate=500, trials=10, epsilon=0.1,
                        angular_slack=math.pi)
-        rep = verify_isoperimetry_sphere(30, SphereSet.cap(30, deg(70)), deg(35), cfg)
+        rep = verify_isoperimetry_sphere(SphereSet.cap(30, deg(70)), deg(35), cfg)
         assert rep.verdict is Verdict.PASS
         assert rep.estimate == 1.0
 
     def test_precondition_angle_sum(self):
         with pytest.raises(DomainError):
-            verify_isoperimetry_sphere(50, SphereSet.cap(50, deg(40)), deg(45), self.CFG)
+            verify_isoperimetry_sphere(SphereSet.cap(50, deg(40)), deg(45), self.CFG)
 
 
 class TestIsoperimetryShell:
@@ -640,7 +640,7 @@ class TestIsoperimetryShell:
         spec = ShellSpec(m, 1.0, 1e-6)
         s = ShellSet.extruded(spec, SphereSet.cap(m, deg(70)))
         shell_rep = verify_isoperimetry_shell(s, deg(35), self.CFG)
-        sphere_rep = verify_isoperimetry_sphere(m, SphereSet.cap(m, deg(70)), deg(35), self.CFG)
+        sphere_rep = verify_isoperimetry_sphere(SphereSet.cap(m, deg(70)), deg(35), self.CFG)
         tol = 2 * (shell_rep.std_error + sphere_rep.std_error) + 1e-12
         assert abs(shell_rep.estimate - sphere_rep.estimate) <= tol
 
@@ -649,7 +649,7 @@ class TestReportSemantics:
     def test_inconclusive_band(self):
         # estimate == threshold with nonzero standard error is inconclusive
         cfg = McConfig(seed=9, samples_per_estimate=1000, trials=20, epsilon=0.1)
-        rep = verify_isoperimetry_sphere(80, SphereSet.cap(80, deg(70)), deg(35), cfg)
+        rep = verify_isoperimetry_sphere(SphereSet.cap(80, deg(70)), deg(35), cfg)
         if abs(rep.estimate - rep.threshold) < 3 * rep.std_error:
             assert rep.verdict is Verdict.INCONCLUSIVE
         else:
