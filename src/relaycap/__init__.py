@@ -44,19 +44,36 @@ from .geometry import (
     log_sphere_area,
     reg_inc_beta,
 )
-from .montecarlo import (
-    McConfig,
-    McReport,
-    ShellSet,
-    SphereSet,
-    Verdict,
-    sample_uniform_cap,
-    sample_uniform_sphere,
-    verify_blowup,
-    verify_concentration,
-    verify_isoperimetry_shell,
-    verify_isoperimetry_sphere,
-)
+
+# The Monte Carlo layer needs numpy, which costs ~0.17 s of start-up that
+# the bounds and geometry commands never use, so its names are resolved on
+# first access (PEP 562).
+_MONTECARLO_NAMES = frozenset({
+    "McConfig",
+    "McReport",
+    "ShellSet",
+    "SphereSet",
+    "Verdict",
+    "sample_uniform_cap",
+    "sample_uniform_sphere",
+    "verify_blowup",
+    "verify_concentration",
+    "verify_isoperimetry_shell",
+    "verify_isoperimetry_sphere",
+})
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MONTECARLO_NAMES)
+
 
 __version__ = "0.1.0"
 

@@ -20,9 +20,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import bounds, channel, geometry, montecarlo
+from . import bounds, channel, geometry
 from .errors import DomainError, InvalidInput, NumericalError, UnsupportedSet
+
+if TYPE_CHECKING:
+    from .montecarlo import McReport, SphereSet
 
 SCHEMA_VERSION = "1"
 
@@ -32,10 +36,12 @@ EXIT_NUMERICAL = 3
 EXIT_MC_FAIL = 4
 EXIT_MC_INCONCLUSIVE = 5
 
+# keyed by Verdict.value: the mc handlers alone import montecarlo, which
+# loads numpy (~0.17 s of start-up the other commands never use)
 _VERDICT_EXIT = {
-    montecarlo.Verdict.PASS: EXIT_OK,
-    montecarlo.Verdict.FAIL: EXIT_MC_FAIL,
-    montecarlo.Verdict.INCONCLUSIVE: EXIT_MC_INCONCLUSIVE,
+    "pass": EXIT_OK,
+    "fail": EXIT_MC_FAIL,
+    "inconclusive": EXIT_MC_INCONCLUSIVE,
 }
 
 
@@ -198,9 +204,9 @@ def _geom_shell_cap(args) -> tuple[dict, dict]:
     spec = geometry.ShellSpec(m, n, delta)
     if args.omega is None:
         value = geometry.log_shell_cap_volume(spec, theta).log2_value
-        s2 = math.sin(theta) ** 2
-        lower = (m / 2.0) * (geometry.LOG2_2PIE + math.log2((n - delta) * s2))
-        upper = (m / 2.0) * (geometry.LOG2_2PIE + math.log2((n + delta) * s2))
+        log2_s2 = 2.0 * math.log2(math.sin(theta))  # sin(theta) ** 2 underflows below 1e-154
+        lower = (m / 2.0) * (geometry.LOG2_2PIE + math.log2(n - delta) + log2_s2)
+        upper = (m / 2.0) * (geometry.LOG2_2PIE + math.log2(n + delta) + log2_s2)
         return {"m": m, "n_scale": n, "delta": delta, "theta": theta}, {
             "m": m, "theta": theta, "log2_measure": value, "lower_exponent": lower,
             "upper_exponent": upper, "per_dim_gap": _per_dim_gap(m, value, lower),
@@ -247,7 +253,9 @@ def _cmd_geom(args) -> tuple[OutputRecord, int]:
     return OutputRecord(f"geom {args.geom_command}", params, [row]), EXIT_OK
 
 
-def _sphere_set(args) -> montecarlo.SphereSet:
+def _sphere_set(args) -> SphereSet:
+    from . import montecarlo
+
     theta = _angle(args.theta, args)
     if args.set == "band":
         return montecarlo.SphereSet.band_with_effective_angle(args.m, theta)
@@ -259,18 +267,24 @@ def _sphere_set(args) -> montecarlo.SphereSet:
 # Each mc experiment returns (params, report); params lead the output row.
 
 
-def _mc_concentration(args, cfg) -> tuple[dict, montecarlo.McReport]:
+def _mc_concentration(args, cfg) -> tuple[dict, McReport]:
+    from . import montecarlo
+
     report = montecarlo.verify_concentration(args.m, args.mu, cfg)
     return {"m": args.m, "mu": args.mu, "samples": args.samples}, report
 
 
-def _mc_blowup(args, cfg) -> tuple[dict, montecarlo.McReport]:
+def _mc_blowup(args, cfg) -> tuple[dict, McReport]:
+    from . import montecarlo
+
     report = montecarlo.verify_blowup(_sphere_set(args), cfg)
     return {"m": args.m, "set": args.set, "theta": _angle(args.theta, args),
             "epsilon": args.epsilon, "samples": args.samples}, report
 
 
-def _mc_isoperimetry_sphere(args, cfg) -> tuple[dict, montecarlo.McReport]:
+def _mc_isoperimetry_sphere(args, cfg) -> tuple[dict, McReport]:
+    from . import montecarlo
+
     omega = _angle(args.omega, args)
     report = montecarlo.verify_isoperimetry_sphere(_sphere_set(args), omega, cfg)
     return {"m": args.m, "set": args.set, "theta": _angle(args.theta, args),
@@ -278,7 +292,9 @@ def _mc_isoperimetry_sphere(args, cfg) -> tuple[dict, montecarlo.McReport]:
             "samples": args.samples}, report
 
 
-def _mc_isoperimetry_shell(args, cfg) -> tuple[dict, montecarlo.McReport]:
+def _mc_isoperimetry_shell(args, cfg) -> tuple[dict, McReport]:
+    from . import montecarlo
+
     spec = geometry.ShellSpec(args.m, args.n_scale, args.delta)
     shell_set = montecarlo.ShellSet.extruded(
         spec, _sphere_set(args), args.extrude_lo, args.extrude_hi
@@ -300,6 +316,8 @@ _MC = {
 
 
 def _cmd_mc(args) -> tuple[OutputRecord, int]:
+    from . import montecarlo
+
     # only the isoperimetry commands run trials; concentration reads no epsilon
     slack = getattr(args, "angular_slack", None)
     cfg = montecarlo.McConfig(
@@ -319,7 +337,8 @@ def _cmd_mc(args) -> tuple[OutputRecord, int]:
         "verdict": report.verdict.value,
         "seed": report.seed,
     }
-    return OutputRecord(f"mc {args.mc_command}", params, [row]), _VERDICT_EXIT[report.verdict]
+    code = _VERDICT_EXIT[report.verdict.value]
+    return OutputRecord(f"mc {args.mc_command}", params, [row]), code
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,7 @@ class SphereSet:
         ]
         total = -math.inf
         for p in parts:
-            total = float(np.logaddexp2(total, p))
+            total = geometry._logaddexp2(total, p)
         return total
 
     @property

@@ -225,6 +225,20 @@ class TestGeom:
             expected = float(mp.log(area, 2))
         assert row["log2_measure"] == pytest.approx(expected, rel=1e-15)
 
+    def test_shell_cap_exponents_at_tiny_angle(self, capsys):
+        # sin(theta)^2 underflows to 0 below theta ~ 1e-154; the exponent
+        # columns take log2(n +- delta) + 2 log2 sin(theta) instead
+        code, out, _ = run_cli(capsys, "geom", "shell-cap", "--m", "100", "--theta", "1e-170")
+        assert code == EXIT_OK
+        row = json.loads(out)["rows"][0]
+        assert all(math.isfinite(v) for v in row.values())
+        for column, scale in (("lower_exponent", 0.9), ("upper_exponent", 1.1)):
+            assert row[column] == pytest.approx(
+                50 * (math.log2(2 * math.pi * math.e * scale) + 2 * math.log2(1e-170)),
+                rel=1e-12,
+            )
+        assert row["lower_exponent"] < row["upper_exponent"]
+
     def test_ball_intersect_at_tiny_distance(self, capsys):
         # R1 = R2 = 1, D = 1e-300: the expanded numerator of lambda cancels
         # to 0; Heron's grouping gives the exact limit 2.
@@ -525,49 +539,82 @@ class TestParserReuse:
         assert out.encode() == fresh.stdout
 
 
-_SCIPY_PROBE = """
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
+
+def loaded():
+    scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    return ["numpy" in sys.modules, scipy]
+
+import relaycap
+seen = [[0, *loaded()]]
 import relaycap.cli
-
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-
-seen = [[0, scipy_modules()]]
+seen.append([0, *loaded()])
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        seen.append([relaycap.cli.main(argv), scipy_modules()])
+        seen.append([relaycap.cli.main(argv), *loaded()])
 print(json.dumps(seen))
 """
 
+# Commands that do no array work: they run on the standard library alone.
+_STDLIB_ONLY = [
+    ["gap", "--snr", "1", "--c0", "1"],
+    ["bounds-sweep", "--c0-steps", "1"],
+    ["geom", "cap-area", "--m", "100", "--theta", "70", "--deg"],
+    ["geom", "exponent", "--theta", "70", "--omega", "35", "--deg"],
+    ["geom", "ball-intersect", "--m", "100", "--r1", "1", "--r2", "1", "--d", "1"],
+    ["geom", "shell-cap", "--m", "100", "--theta", "70", "--deg"],
+]
+_MC_CONCENTRATION = ["mc", "concentration", "--m", "50", "--mu", "0.1", "--samples", "1000",
+                     "--seed", "1"]
+_QUADRATURE = ["geom", "cap-intersect", "--m", "100", "--theta", "70", "--theta2", "35",
+               "--deg"]
+
+
+def _probe_imports(commands: list) -> list:
+    """[exit code, numpy loaded, scipy modules] in one fresh interpreter after
+    `import relaycap`, after `import relaycap.cli` and after each command."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        capture_output=True, env=env, check=True, text=True,
+    )
+    return json.loads(probe.stdout)
+
 
 class TestImportFootprint:
-    """Which scipy modules a fresh interpreter holds after each command.
+    """Which of numpy and scipy a fresh interpreter holds after each command.
 
-    Set membership, not timing: importing the CLI loads numpy and no scipy,
-    and a command loads scipy.integrate only when it runs quadrature.
+    Set membership, not timing: importing the package or the CLI loads
+    neither, the bounds and closed-form geometry commands run on the
+    standard library, `mc` loads numpy, and a command loads scipy.integrate
+    only when it runs quadrature.
     """
 
-    def test_scipy_loaded_only_for_quadrature(self):
-        numpy_only = [
-            ["gap", "--snr", "1", "--c0", "1"],
-            ["bounds-sweep", "--c0-steps", "1"],
-            ["mc", "concentration", "--m", "50", "--mu", "0.1", "--samples", "1000",
-             "--seed", "1"],
-            ["geom", "cap-area", "--m", "100", "--theta", "70", "--deg"],
-        ]
-        quadrature = ["geom", "cap-intersect", "--m", "100", "--theta", "70",
-                      "--theta2", "35", "--deg"]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        probe = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(numpy_only + [quadrature])],
-            capture_output=True, env=env, check=True, text=True,
-        )
-        *before, (code, loaded) = json.loads(probe.stdout)
-        for argv, step in zip([["import relaycap.cli"]] + numpy_only, before):
-            assert step == [EXIT_OK, []], argv
+    @pytest.fixture(scope="class")
+    def footprint(self):
+        # the quadrature command runs in its own interpreter, so what it
+        # loads is not inherited from the mc command
+        return (_probe_imports(_STDLIB_ONLY + [_MC_CONCENTRATION]),
+                _probe_imports([_QUADRATURE])[-1])
+
+    def test_scipy_loaded_only_for_quadrature(self, footprint):
+        steps, (code, _, loaded) = footprint
+        names = [["import relaycap"], ["import relaycap.cli"], *_STDLIB_ONLY, _MC_CONCENTRATION]
+        for argv, (step_code, _, scipy) in zip(names, steps, strict=True):
+            assert [step_code, scipy] == [EXIT_OK, []], argv
         assert code == EXIT_OK
         assert "scipy.integrate" in loaded
         # scipy.integrate's own package imports scipy.optimize (its ODE and
         # BVP solvers), so only scipy.interpolate can be held out here
         assert "scipy.interpolate" not in loaded
+
+    def test_numpy_loaded_only_for_array_work(self, footprint):
+        steps, (_, quadrature_numpy, _) = footprint
+        *stdlib_steps, (_, mc_numpy, _) = steps
+        names = [["import relaycap"], ["import relaycap.cli"], *_STDLIB_ONLY]
+        for argv, (_, numpy, _) in zip(names, stdlib_steps, strict=True):
+            assert not numpy, argv
+        assert mc_numpy
+        assert quadrature_numpy

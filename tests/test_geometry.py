@@ -26,9 +26,11 @@ from relaycap import (
     log_sphere_area,
     reg_inc_beta,
 )
+import relaycap
 from relaycap import geometry
 from relaycap.geometry import (
     LOG2_2PIE,
+    _logaddexp2,
     _lens_piece_log2_integrand,
     _log2_sin_integral_zero_to,
     log2_reg_inc_beta,
@@ -498,3 +500,50 @@ class TestIntersectionExponent:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             cap_intersection_exponent(1.0, deg(40), deg(45))
+
+
+class TestLogAddExp2:
+    """The math port of numpy's logaddexp2 returns numpy's floats."""
+
+    @staticmethod
+    def same(x, y):
+        assert _logaddexp2(x, y) == float(np.logaddexp2(x, y))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        x=st.floats(-1e6, 1e6),
+        log10_gap=st.floats(-6.0, math.log10(2000.0)),
+        sign=st.sampled_from((-1.0, 1.0)),
+    )
+    def test_finite_pairs(self, x, log10_gap, sign):
+        y = x + sign * 10.0 ** log10_gap
+        self.same(x, y)
+        self.same(y, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats(-1e6, 1e6))
+    def test_equal_and_minus_inf(self, x):
+        self.same(x, x)
+        self.same(x, -math.inf)
+        self.same(-math.inf, x)
+
+    def test_both_minus_inf(self):
+        assert _logaddexp2(-math.inf, -math.inf) == -math.inf
+        self.same(-math.inf, -math.inf)
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        for name in relaycap.__all__:
+            assert getattr(relaycap, name) is not None, name
+
+    def test_monte_carlo_names_come_from_montecarlo(self):
+        from relaycap import montecarlo
+
+        for name in ("McConfig", "SphereSet", "Verdict", "verify_concentration"):
+            assert getattr(relaycap, name) is getattr(montecarlo, name)
+            assert name in dir(relaycap)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError):
+            relaycap.no_such_name  # noqa: B018
