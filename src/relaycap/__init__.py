@@ -36,7 +36,6 @@ from .geometry import (
     cap_intersection_exponent,
     log_ball_intersection,
     log_cap_area,
-    log_cap_area_quadrature,
     log_cap_intersection,
     log_shell_cap_volume,
     log_shell_volume,
@@ -54,8 +53,6 @@ _MONTECARLO_NAMES = frozenset({
     "ShellSet",
     "SphereSet",
     "Verdict",
-    "sample_uniform_cap",
-    "sample_uniform_sphere",
     "verify_blowup",
     "verify_concentration",
     "verify_isoperimetry_shell",
@@ -109,15 +106,12 @@ __all__ = [
     "gap_certificate",
     "log_ball_intersection",
     "log_cap_area",
-    "log_cap_area_quadrature",
     "log_cap_intersection",
     "log_shell_cap_volume",
     "log_shell_volume",
     "log_shellcap_intersection_bounds",
     "log_sphere_area",
     "reg_inc_beta",
-    "sample_uniform_cap",
-    "sample_uniform_sphere",
     "sweep",
     "verify_blowup",
     "verify_concentration",

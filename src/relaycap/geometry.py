@@ -5,10 +5,11 @@ Surface areas and volumes at dimensions m in the thousands scale like
 measure here is represented by its base-2 logarithm (see LogMeasure) and
 measures are combined with log-sum-exp instead of addition.
 
-Two independent computation routes are kept side by side on purpose:
-closed forms built on the regularized incomplete beta function, and
-adaptive quadrature of the defining sin^k integrals carried out in the
-log domain.  Tests cross-check one against the other.
+Caps, bands, shells and balls are closed forms built on the regularized
+incomplete beta function.  Only the cap-intersection (lens) integral has
+none; it is evaluated by adaptive quadrature carried out in the log
+domain.  The tests keep a quadrature of the defining sin^k integrals and
+a high-precision mpmath evaluation as oracles for the closed forms.
 """
 
 from __future__ import annotations
@@ -311,26 +312,6 @@ def _log2_quad(log2_f, a: float, b: float, peak_x: float, drop_bits: float = 70.
     return shift + math.log2(value)
 
 
-def log2_sin_power_integral(k: int, lo: float, hi: float) -> float:
-    """log2 of the integral of sin(rho)^k over [lo, hi] in [0, pi], by quadrature.
-
-    sin^k rises up to pi/2 and falls after it, so the peak on [lo, hi] is
-    pi/2 clipped to the window.
-    """
-    if not (0.0 <= lo <= math.pi and 0.0 <= hi <= math.pi):
-        raise DomainError(f"integration bounds must lie in [0, pi], got [{lo}, {hi}]")
-    if not hi > lo:
-        return -math.inf
-
-    def g(rho: float) -> float:
-        s = math.sin(rho)
-        if s <= 0.0:
-            return -math.inf
-        return k * math.log2(s)
-
-    return _log2_quad(g, lo, hi, min(max(math.pi / 2.0, lo), hi))
-
-
 def _log2_sin_integral_zero_to(k: int, theta: float) -> float:
     """log2 of the integral of sin^k over [0, theta], via the closed beta form.
 
@@ -387,17 +368,6 @@ def log_cap_area(spec: CapSpec) -> LogMeasure:
     if theta == math.pi:
         return LogMeasure(sphere, MeasureKind.SURFACE_AREA)
     value = _log2_cap_front(m, R) + _log2_sin_integral_zero_to(m - 2, theta)
-    return LogMeasure(value, MeasureKind.SURFACE_AREA)
-
-
-def log_cap_area_quadrature(spec: CapSpec) -> LogMeasure:
-    """Cap area via direct log-domain quadrature of the sin^(m-2) integral.
-
-    Independent of the incomplete-beta route; kept as the cross-check path.
-    """
-    value = _log2_cap_front(spec.m, spec.R) + log2_sin_power_integral(
-        spec.m - 2, 0.0, spec.theta
-    )
     return LogMeasure(value, MeasureKind.SURFACE_AREA)
 
 

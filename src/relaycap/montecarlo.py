@@ -7,18 +7,19 @@ cap of slightly enlarged angle captures at least the orthogonal-pole
 cap-intersection volume from any set of matching effective angle, with
 high probability).
 
-Sets here are axially symmetric: a cap, a band, or a union of two
-antipodal caps, each described by polar-angle intervals about an axis.
-That structure is what makes the intersection measure estimable at
-m ~ several hundred, where the intersection occupies a ~2^-70 fraction of
-the random cap and hit-or-miss sampling is hopeless.  The estimator works
-in cosine coordinates around the cap's pole y: w = 1 - cos(rho) is drawn
-uniformly only on the rho-ranges where the circle around y can meet the
-set, and u = cos(psi) (psi the azimuth toward the set axis) uniformly over
-exactly the range where membership holds, which is linear in u; the true
-density is folded into log-domain weights, so no sample needs a
-trigonometric function.  The estimator is unbiased and its calibration
-against the quadrature formulas is part of the test suite.
+Sets here are axially symmetric about e1: a cap, a band, or a union of two
+antipodal caps, each described by polar-angle intervals to e1, so a random
+pole y enters only through its cosine cy to e1.  That structure is what
+makes the intersection measure estimable at m ~ several hundred, where
+the intersection occupies a ~2^-70 fraction of the random cap and
+hit-or-miss sampling is hopeless.  The estimator works in cosine
+coordinates around the cap's pole y: w = 1 - cos(rho) is drawn uniformly
+only on the rho-ranges where the circle around y can meet the set, and
+u = cos(psi) (psi the azimuth toward e1) uniformly over exactly the range
+where membership holds, which is linear in u; the true density is folded
+into log-domain weights, so no sample needs a trigonometric function.
+The estimator is unbiased and its calibration against the closed-form
+measures is part of the test suite.
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, stream_index): trials are independent, reproducible bit-for-bit,
@@ -31,8 +32,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,16 +42,12 @@ from .geometry import (
     _log2_beta_fn,
     _log2_radial_integral,
     _log2_sin_integral_zero_to,
+    _logaddexp2,
     log2_reg_inc_beta,
 )
 
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
-
 LN2 = math.log(2.0)
 HALF_PI = math.pi / 2.0
-
-_POLAR_TABLE_NODES = 4096
 
 
 def trial_rng(seed: int, stream: int) -> np.random.Generator:
@@ -61,103 +56,17 @@ def trial_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# ---------------------------------------------------------------------------
-# Samplers
-# ---------------------------------------------------------------------------
-
-
-def sample_uniform_sphere(m: int, R: float, rng: np.random.Generator, size: int | None = None):
-    """Uniform (rotation-invariant) points on the sphere of radius R in R^m.
-
-    Standard Gaussian vectors normalized and scaled; returns shape (m,) for
-    size=None, else (size, m).
-    """
-    if m < 2:
-        raise DomainError(f"sphere sampling needs m >= 2, got {m}")
-    n = 1 if size is None else int(size)
-    g = rng.standard_normal((n, m))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    pts = R * g
-    return pts[0] if size is None else pts
-
-
 def _polar_cosines(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Cosines of n uniform points on the sphere in R^m to a fixed axis.
+    """Cosines to e1 of n uniform points on the sphere in R^m.
 
     Exact law without drawing the points: for a standard Gaussian vector,
-    the axis coordinate z and the squared norm of the other m - 1
+    the first coordinate z and the squared norm of the other m - 1
     coordinates (chi-square with m - 1 degrees of freedom) are independent,
     so cos = z / sqrt(z^2 + chi2_{m-1}); equivalently cos^2 ~ Beta(1/2,
     (m-1)/2) with a random sign.  Work and memory scale with n, not n * m.
     """
     z = rng.standard_normal(n)
     return z / np.sqrt(z * z + rng.chisquare(m - 1, n))
-
-
-@lru_cache(maxsize=64)
-def _polar_angle_table(m: int, angle: float) -> PchipInterpolator:
-    """Monotone inverse of the polar-angle CDF on [0, angle] at sin^(m-2) density.
-
-    Tabulates the log2 cumulative mass at Chebyshev-clustered nodes (dense
-    at both endpoints, where all the probability lives when m is large) and
-    interpolates angle as a function of log2(CDF) with a monotone cubic.
-    Working on the log scale keeps the table meaningful where the CDF
-    itself underflows.
-    """
-    n = _POLAR_TABLE_NODES
-    j = np.arange(1, n + 1)
-    nodes = angle * 0.5 * (1.0 - np.cos(math.pi * j / n))
-    total = _log2_sin_integral_zero_to(m - 2, angle)
-    log_cdf = np.array(
-        [_log2_sin_integral_zero_to(m - 2, float(r)) for r in nodes]
-    ) - total
-    log_cdf[-1] = 0.0
-    # PCHIP needs strictly increasing abscissae: drop -inf heads and, where
-    # the log-CDF saturates in float64 (mass beyond a node below one ulp,
-    # e.g. past the equator for angle = pi), keep the last node of each flat
-    # run so log_cdf = 0 still maps to rho = angle.
-    keep = np.isfinite(log_cdf)
-    keep[:-1] &= np.diff(log_cdf) > 0.0
-    log_cdf, nodes = log_cdf[keep], nodes[keep]
-    # loaded on first use: no CLI command samples caps
-    from scipy.interpolate import PchipInterpolator
-
-    return PchipInterpolator(log_cdf, nodes, extrapolate=False)
-
-
-def sample_uniform_cap(
-    m: int,
-    R: float,
-    pole,
-    angle: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Uniform points on the cap of half-angle `angle` around `pole`.
-
-    Polar angle by numeric inverse-CDF of the sin^(m-2) density restricted
-    to [0, angle]; the orthogonal component is an independent uniform
-    direction in the pole's orthocomplement.
-    """
-    if m < 2:
-        raise DomainError(f"cap sampling needs m >= 2, got {m}")
-    if not 0.0 < angle <= math.pi:
-        raise DomainError(f"cap angle must lie in (0, pi], got {angle}")
-    pole = np.asarray(pole, dtype=float)
-    p_hat = pole / np.linalg.norm(pole)
-    n = 1 if size is None else int(size)
-
-    table = _polar_angle_table(m, float(angle))
-    u = 1.0 - rng.random(n)  # (0, 1]
-    log_u = np.log2(u)
-    lo = float(table.x[0])
-    rho = np.asarray(table(np.clip(log_u, lo, 0.0)))
-
-    g = rng.standard_normal((n, m))
-    g -= np.outer(g @ p_hat, p_hat)
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    pts = R * (np.cos(rho)[:, None] * p_hat + np.sin(rho)[:, None] * g)
-    return pts[0] if size is None else pts
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +87,12 @@ def _merge_intervals(intervals) -> tuple[tuple[float, float], ...]:
     return tuple((lo, hi) for lo, hi in merged)
 
 
-def _default_axis(m: int) -> np.ndarray:
-    axis = np.zeros(m)
-    axis[0] = 1.0
-    return axis
+def _contains_polar(intervals, polar: np.ndarray) -> np.ndarray:
+    """Which polar angles lie in one of the closed intervals."""
+    member = np.zeros(polar.shape, dtype=bool)
+    for lo, hi in intervals:
+        member |= (polar >= lo) & (polar <= hi)
+    return member
 
 
 def _solve_angle_for_mass(m: int, target_log2: float) -> float:
@@ -209,29 +120,46 @@ def _log2_band_mass(m: int, w: float) -> float:
     return _log2_beta_fn(0.5, b) + log2_reg_inc_beta(math.sin(w) ** 2, 0.5, b)
 
 
+def _log2_interval_mass(m: int, lo: float, hi: float) -> float:
+    """log2 of the sin^(m-2) mass of the polar interval [lo, hi], in closed form.
+
+    An interval from a pole is a cap (mirrored at pi), and one across the
+    equator is two half-bands.  Any other lies on one side of the equator
+    and is the difference of two caps, mirrored onto [0, pi/2] so that
+    neither cap passes the equator.
+    """
+    k = m - 2
+    if lo == 0.0:
+        return _log2_sin_integral_zero_to(k, hi)
+    if hi == math.pi:
+        return _log2_sin_integral_zero_to(k, math.pi - lo)
+    if lo < HALF_PI < hi:
+        return _logaddexp2(
+            _log2_band_mass(m, HALF_PI - lo) - 1.0, _log2_band_mass(m, hi - HALF_PI) - 1.0
+        )
+    if lo >= HALF_PI:
+        lo, hi = math.pi - hi, math.pi - lo
+    outer = _log2_sin_integral_zero_to(k, hi)
+    rest = -math.expm1((_log2_sin_integral_zero_to(k, lo) - outer) * LN2)
+    # an interval narrower than the caps' rounding has no resolvable mass
+    return outer + math.log2(rest) if rest > 0.0 else -math.inf
+
+
 @dataclass(eq=False)
 class SphereSet:
-    """An axially symmetric subset of the sphere: polar-angle intervals.
+    """An axially symmetric subset of the sphere: polar-angle intervals to e1.
 
     Covers the three built-in shapes (cap, band, two antipodal caps) in one
-    representation; membership depends only on the angle to `axis`.
+    representation; membership depends only on the angle to e1.
     """
 
     m: int
     intervals: tuple[tuple[float, float], ...]
-    axis: np.ndarray
     label: str = "set"
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise DomainError(f"sphere sets need m >= 2, got {self.m}")
-        self.axis = np.asarray(self.axis, dtype=float)
-        if self.axis.shape != (self.m,):
-            raise DomainError(f"axis must have shape ({self.m},), got {self.axis.shape}")
-        norm = float(np.linalg.norm(self.axis))
-        if norm == 0.0:
-            raise DomainError("axis must be nonzero")
-        self.axis = self.axis / norm
         self.intervals = _merge_intervals(self.intervals)
         if not self.intervals:
             raise DomainError("set must contain at least one polar interval")
@@ -239,32 +167,31 @@ class SphereSet:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def cap(cls, m: int, angle: float, axis=None) -> "SphereSet":
+    def cap(cls, m: int, angle: float) -> "SphereSet":
         if not 0.0 < angle <= math.pi:
             raise DomainError(f"cap angle must lie in (0, pi], got {angle}")
-        return cls(m, ((0.0, angle),), _default_axis(m) if axis is None else axis, "cap")
+        return cls(m, ((0.0, angle),), "cap")
 
     @classmethod
-    def band(cls, m: int, center: float, half_width: float, axis=None) -> "SphereSet":
+    def band(cls, m: int, center: float, half_width: float) -> "SphereSet":
         if not 0.0 < half_width <= math.pi / 2.0:
             raise DomainError(f"band half-width must lie in (0, pi/2], got {half_width}")
         lo = max(0.0, center - half_width)
         hi = min(math.pi, center + half_width)
-        return cls(m, ((lo, hi),), _default_axis(m) if axis is None else axis, "band")
+        return cls(m, ((lo, hi),), "band")
 
     @classmethod
-    def two_cap_union(cls, m: int, angle1: float, angle2: float, axis=None) -> "SphereSet":
-        """Two caps at antipodal poles along the axis; they must be disjoint."""
+    def two_cap_union(cls, m: int, angle1: float, angle2: float) -> "SphereSet":
+        """Two caps at the antipodal poles +-e1; they must be disjoint."""
         if angle1 + angle2 >= math.pi:
             raise UnsupportedSet(
                 "two-cap union supports disjoint antipodal caps only: "
                 f"angle1 + angle2 = {angle1 + angle2} >= pi"
             )
-        ivs = ((0.0, angle1), (math.pi - angle2, math.pi))
-        return cls(m, ivs, _default_axis(m) if axis is None else axis, "twocaps")
+        return cls(m, ((0.0, angle1), (math.pi - angle2, math.pi)), "twocaps")
 
     @classmethod
-    def band_with_effective_angle(cls, m: int, theta: float, axis=None) -> "SphereSet":
+    def band_with_effective_angle(cls, m: int, theta: float) -> "SphereSet":
         """Equatorial band whose measure matches a cap of angle theta.
 
         Half-width found by bisection in log space on the band's closed-form
@@ -286,25 +213,22 @@ class SphereSet:
         # Its measure then exceeds the target and effective_theta is the
         # floored band's real angle, not theta.
         w = max(math.exp(0.5 * (ln_lo + ln_hi)), math.ulp(HALF_PI))
-        return cls.band(m, HALF_PI, w, axis)
+        return cls.band(m, HALF_PI, w)
 
     @classmethod
-    def two_caps_with_effective_angle(cls, m: int, theta: float, axis=None) -> "SphereSet":
+    def two_caps_with_effective_angle(cls, m: int, theta: float) -> "SphereSet":
         """Two equal antipodal caps whose total measure matches a theta-cap."""
         target = _log2_sin_integral_zero_to(m - 2, theta) - 1.0
         a = _solve_angle_for_mass(m, target)
-        return cls.two_cap_union(m, a, a, axis)
+        return cls.two_cap_union(m, a, a)
 
     # -- measures ----------------------------------------------------------
 
     def log2_angular_mass(self) -> float:
         """log2 of the sin^(m-2) mass of the polar-interval union."""
-        parts = [
-            geometry.log2_sin_power_integral(self.m - 2, lo, hi) for lo, hi in self.intervals
-        ]
         total = -math.inf
-        for p in parts:
-            total = geometry._logaddexp2(total, p)
+        for lo, hi in self.intervals:
+            total = _logaddexp2(total, _log2_interval_mass(self.m, lo, hi))
         return total
 
     @property
@@ -321,15 +245,8 @@ class SphereSet:
 
     # -- membership --------------------------------------------------------
 
-    def polar_angles(self, points: np.ndarray, radius: float = 1.0) -> np.ndarray:
-        cosang = np.clip(points @ self.axis / radius, -1.0, 1.0)
-        return np.arccos(cosang)
-
     def contains_polar(self, polar: np.ndarray) -> np.ndarray:
-        member = np.zeros(polar.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            member |= (polar >= lo) & (polar <= hi)
-        return member
+        return _contains_polar(self.intervals, polar)
 
     def expanded_intervals(self, t: float) -> tuple[tuple[float, float], ...]:
         """Polar intervals of the t-neighborhood of the set."""
@@ -418,7 +335,7 @@ def _reachable_w_ranges(
 ) -> tuple[tuple[float, float], ...]:
     """Disjoint w = 1 - cos(rho) ranges where the circle around y meets the set.
 
-    The circle at polar angle rho from y spans the axis angles [|rho - alpha|,
+    The circle at polar angle rho from y spans the polar angles [|rho - alpha|,
     min(rho + alpha, 2 pi - rho - alpha)], alpha = acos(cy), so it meets the
     polar interval [lo, hi] exactly for rho in [max(alpha - hi, lo - alpha),
     min(alpha + hi, 2 pi - lo - alpha)].  These ranges, cut to [0, beta],
@@ -465,7 +382,7 @@ def _spread(v: np.ndarray, starts, lengths):
 def _u_range(lo: float, hi: float, cc: np.ndarray, den: np.ndarray):
     """u-range [a, a + length] of the samples' circles inside polar [lo, hi].
 
-    A point at u = cos(psi) has axis-cosine cc + den * u, so it lies in the
+    A point at u = cos(psi) has cosine cc + den * u to e1, so it lies in the
     interval exactly for u in [(cos hi - cc) / den, (cos lo - cc) / den]
     intersected with [-1, 1].  An end at a pole is the exact bound -1 or 1.
     The start a is kept inside [-1, 1] even where the range is empty, so
@@ -489,7 +406,7 @@ def _u_range(lo: float, hi: float, cc: np.ndarray, den: np.ndarray):
 
 def estimate_cap_intersection(
     sphere_set: SphereSet,
-    y_hat: np.ndarray,
+    cy: float,
     beta: float,
     n_samples: int,
     rng: np.random.Generator,
@@ -497,14 +414,15 @@ def estimate_cap_intersection(
 ) -> tuple[float, float]:
     """Unbiased log-domain estimate of mu(A intersect Cap(y, beta)).
 
-    Parametrize the cap around y by w = 1 - cos(rho), rho the polar angle
-    to y, and u = cos(psi), psi the azimuth toward the set axis; the
-    remaining directions integrate out exactly into the unit (m-3)-sphere
-    area, and the uniform measure is s^(m-3) (1 - u^2)^((m-4)/2) dw du with
-    s = sin(rho) = sqrt(w (2 - w)).  w is drawn uniformly on the ranges
-    where the circle around y can meet A (`_reachable_w_ranges`), u
-    uniformly on the range where the point lies in A (`_u_range`, exact),
-    and the density is carried as the log-domain weight log2(total * s) +
+    A is symmetric about e1, so the pole y enters only through its cosine
+    cy = y . e1 / |y|, which is clamped to [-1, 1].  Parametrize the cap
+    around y by w = 1 - cos(rho), rho the polar angle to y, and u =
+    cos(psi), psi the azimuth toward e1; the remaining directions integrate
+    out exactly into the unit (m-3)-sphere area, and the uniform measure is
+    s^(m-3) (1 - u^2)^((m-4)/2) dw du with s = sin(rho) = sqrt(w (2 - w)).
+    w is drawn uniformly on the ranges where the circle around y can meet
+    A (`_reachable_w_ranges`), u uniformly on the range where the point
+    lies in A (`_u_range`, exact), and the density is carried as the log-domain weight log2(total * s) +
     ((m-4)/2) log2(s^2 (1 - u^2)), total being the u-range's length.
 
     Returns (log2 estimate, standard error in bits).  An estimate of -inf
@@ -519,9 +437,7 @@ def estimate_cap_intersection(
     if k < 1:
         raise DomainError("need at least one sample")
 
-    y_hat = np.asarray(y_hat, dtype=float)
-    y_hat = y_hat / np.linalg.norm(y_hat)
-    cy = min(max(float(y_hat @ sphere_set.axis), -1.0), 1.0)
+    cy = min(max(float(cy), -1.0), 1.0)
     ca = math.sqrt(max(0.0, 1.0 - cy * cy))
 
     ranges = _reachable_w_ranges(sphere_set.intervals, cy, beta)
@@ -694,10 +610,7 @@ def verify_blowup(sphere_set: SphereSet, cfg: McConfig) -> McReport:
     expanded = sphere_set.expanded_intervals(max(t, 0.0))
     n = cfg.samples_per_estimate
     polar = np.arccos(np.clip(_polar_cosines(m, n, trial_rng(cfg.seed, 0)), -1.0, 1.0))
-    member = np.zeros(n, dtype=bool)
-    for lo, hi in expanded:
-        member |= (polar >= lo) & (polar <= hi)
-    hits = int(np.count_nonzero(member))
+    hits = int(np.count_nonzero(_contains_polar(expanded, polar)))
     estimate = hits / n
     se = _binomial_se(estimate, n)
     threshold = 1.0 - epsilon
@@ -752,9 +665,12 @@ def _isoperimetry_trials(
     margins = []
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
+        # Only y's cosine to e1 matters; all m coordinates are drawn because
+        # the estimator's draws follow them in the trial's stream, and seeded
+        # output depends on where they start.
         y = rng.standard_normal(m)
         log2_est, _ = estimate_cap_intersection(
-            angular, y, beta, cfg.samples_per_estimate, rng, radius
+            angular, y[0] / np.linalg.norm(y), beta, cfg.samples_per_estimate, rng, radius
         )
         margin = log2_est + log2_offset - log2_required
         margins.append(margin)

@@ -1,0 +1,168 @@
+"""Independent reference routes the tests check the package against.
+
+Nothing here is used by the package itself:
+
+- point samplers for the sphere and for caps, whose empirical laws check
+  the estimator's coordinates and the cap-area ratios;
+- log-domain quadrature of the sin^k integrals behind every cap and set
+  mass, over `geometry._log2_quad` (the package's closed forms are checked
+  against it);
+- a 40-digit mpmath evaluation of cap areas.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import mpmath as mp
+import numpy as np
+from scipy.interpolate import PchipInterpolator
+
+from relaycap.errors import DomainError
+from relaycap.geometry import (
+    CapSpec,
+    LogMeasure,
+    MeasureKind,
+    _log2_cap_front,
+    _log2_quad,
+    _log2_sin_integral_zero_to,
+    _logaddexp2,
+)
+
+_POLAR_TABLE_NODES = 4096
+
+
+def sample_uniform_sphere(m: int, R: float, rng: np.random.Generator, size: int | None = None):
+    """Uniform (rotation-invariant) points on the sphere of radius R in R^m.
+
+    Standard Gaussian vectors normalized and scaled; returns shape (m,) for
+    size=None, else (size, m).
+    """
+    if m < 2:
+        raise DomainError(f"sphere sampling needs m >= 2, got {m}")
+    n = 1 if size is None else int(size)
+    g = rng.standard_normal((n, m))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    pts = R * g
+    return pts[0] if size is None else pts
+
+
+@lru_cache(maxsize=64)
+def _polar_angle_table(m: int, angle: float) -> PchipInterpolator:
+    """Monotone inverse of the polar-angle CDF on [0, angle] at sin^(m-2) density.
+
+    Tabulates the log2 cumulative mass at Chebyshev-clustered nodes (dense
+    at both endpoints, where all the probability lives when m is large) and
+    interpolates angle as a function of log2(CDF) with a monotone cubic.
+    Working on the log scale keeps the table meaningful where the CDF
+    itself underflows.
+    """
+    n = _POLAR_TABLE_NODES
+    j = np.arange(1, n + 1)
+    nodes = angle * 0.5 * (1.0 - np.cos(math.pi * j / n))
+    total = _log2_sin_integral_zero_to(m - 2, angle)
+    log_cdf = np.array(
+        [_log2_sin_integral_zero_to(m - 2, float(r)) for r in nodes]
+    ) - total
+    log_cdf[-1] = 0.0
+    # PCHIP needs strictly increasing abscissae: drop -inf heads and, where
+    # the log-CDF saturates in float64 (mass beyond a node below one ulp,
+    # e.g. past the equator for angle = pi), keep the last node of each flat
+    # run so log_cdf = 0 still maps to rho = angle.
+    keep = np.isfinite(log_cdf)
+    keep[:-1] &= np.diff(log_cdf) > 0.0
+    log_cdf, nodes = log_cdf[keep], nodes[keep]
+    return PchipInterpolator(log_cdf, nodes, extrapolate=False)
+
+
+def sample_uniform_cap(
+    m: int,
+    R: float,
+    pole,
+    angle: float,
+    rng: np.random.Generator,
+    size: int | None = None,
+):
+    """Uniform points on the cap of half-angle `angle` around `pole`.
+
+    Polar angle by numeric inverse-CDF of the sin^(m-2) density restricted
+    to [0, angle]; the orthogonal component is an independent uniform
+    direction in the pole's orthocomplement.
+    """
+    if m < 2:
+        raise DomainError(f"cap sampling needs m >= 2, got {m}")
+    if not 0.0 < angle <= math.pi:
+        raise DomainError(f"cap angle must lie in (0, pi], got {angle}")
+    pole = np.asarray(pole, dtype=float)
+    p_hat = pole / np.linalg.norm(pole)
+    n = 1 if size is None else int(size)
+
+    table = _polar_angle_table(m, float(angle))
+    u = 1.0 - rng.random(n)  # (0, 1]
+    log_u = np.log2(u)
+    lo = float(table.x[0])
+    rho = np.asarray(table(np.clip(log_u, lo, 0.0)))
+
+    g = rng.standard_normal((n, m))
+    g -= np.outer(g @ p_hat, p_hat)
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    pts = R * (np.cos(rho)[:, None] * p_hat + np.sin(rho)[:, None] * g)
+    return pts[0] if size is None else pts
+
+
+def polar_angles(points: np.ndarray, radius: float = 1.0) -> np.ndarray:
+    """Angles of points on the sphere of the given radius to e1."""
+    return np.arccos(np.clip(points[..., 0] / radius, -1.0, 1.0))
+
+
+def log2_sin_power_integral(k: int, lo: float, hi: float) -> float:
+    """log2 of the integral of sin(rho)^k over [lo, hi] in [0, pi], by quadrature.
+
+    sin^k rises up to pi/2 and falls after it, so the peak on [lo, hi] is
+    pi/2 clipped to the window.
+    """
+    if not (0.0 <= lo <= math.pi and 0.0 <= hi <= math.pi):
+        raise DomainError(f"integration bounds must lie in [0, pi], got [{lo}, {hi}]")
+    if not hi > lo:
+        return -math.inf
+
+    def g(rho: float) -> float:
+        s = math.sin(rho)
+        if s <= 0.0:
+            return -math.inf
+        return k * math.log2(s)
+
+    return _log2_quad(g, lo, hi, min(max(math.pi / 2.0, lo), hi))
+
+
+def log2_set_mass_quadrature(m: int, intervals) -> float:
+    """log2 of the sin^(m-2) mass of disjoint polar intervals, by quadrature."""
+    total = -math.inf
+    for lo, hi in intervals:
+        total = _logaddexp2(total, log2_sin_power_integral(m - 2, lo, hi))
+    return total
+
+
+def log_cap_area_quadrature(spec: CapSpec) -> LogMeasure:
+    """Cap area via log-domain quadrature of the sin^(m-2) integral."""
+    value = _log2_cap_front(spec.m, spec.R) + log2_sin_power_integral(
+        spec.m - 2, 0.0, spec.theta
+    )
+    return LogMeasure(value, MeasureKind.SURFACE_AREA)
+
+
+def log2_cap_area_mpmath(m: int, R: float, theta: float) -> float:
+    """log2 of the cap area at 40 digits, from mpmath's regularized betainc.
+
+    A(theta) = (A_m / 2) I_{sin^2 theta}((m-1)/2, 1/2) up to pi/2, and
+    A_m (1 - I / 2) beyond it, with the sphere area A_m = 2 pi^(m/2) /
+    Gamma(m/2) R^(m-1).  The shape b = 1/2 keeps mpmath's hypergeometric
+    series convergent at every m the tests use.
+    """
+    with mp.workdps(40):
+        t = mp.mpf(theta)
+        sphere = 2 * mp.pi ** (mp.mpf(m) / 2) / mp.gamma(mp.mpf(m) / 2) * mp.mpf(R) ** (m - 1)
+        reg = mp.betainc(mp.mpf(m - 1) / 2, mp.mpf(1) / 2, 0, mp.sin(t) ** 2, regularized=True)
+        frac = reg / 2 if 2 * t <= mp.pi else 1 - reg / 2
+        return float(mp.log(sphere * frac, 2))

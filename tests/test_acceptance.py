@@ -33,15 +33,15 @@ from relaycap import (
     gap_certificate,
     log_ball_intersection,
     log_cap_area,
-    log_cap_area_quadrature,
     log_cap_intersection,
     log_sphere_area,
-    sample_uniform_cap,
     verify_concentration,
     verify_isoperimetry_shell,
     verify_isoperimetry_sphere,
 )
 from relaycap.montecarlo import trial_rng
+
+from oracles import log_cap_area_quadrature, sample_uniform_cap
 
 deg = math.radians
 HALF_PI = math.pi / 2

@@ -565,10 +565,18 @@ _STDLIB_ONLY = [
     ["geom", "ball-intersect", "--m", "100", "--r1", "1", "--r2", "1", "--d", "1"],
     ["geom", "shell-cap", "--m", "100", "--theta", "70", "--deg"],
 ]
-_MC_CONCENTRATION = ["mc", "concentration", "--m", "50", "--mu", "0.1", "--samples", "1000",
-                     "--seed", "1"]
-_QUADRATURE = ["geom", "cap-intersect", "--m", "100", "--theta", "70", "--theta2", "35",
-               "--deg"]
+# Monte Carlo commands whose sets and measures are closed forms: numpy alone.
+_NUMPY_ONLY = [
+    ["mc", "concentration", "--m", "50", "--mu", "0.1", "--samples", "1000", "--seed", "1"],
+    *(["mc", "blowup", "--m", "100", "--set", s, "--theta", "70", "--deg", "--epsilon", "0.3",
+       "--samples", "1000", "--seed", "1"] for s in ("cap", "band", "twocaps")),
+]
+# Commands that integrate a cap intersection and so load scipy.integrate.
+_QUADRATURE = [
+    ["geom", "cap-intersect", "--m", "100", "--theta", "70", "--theta2", "35", "--deg"],
+    ["mc", "isoperimetry-sphere", "--m", "200", "--set", "twocaps", "--theta", "70",
+     "--omega", "35", "--deg", "--trials", "20", "--samples", "1000", "--seed", "1"],
+]
 
 
 def _probe_imports(commands: list) -> list:
@@ -589,32 +597,33 @@ class TestImportFootprint:
     Set membership, not timing: importing the package or the CLI loads
     neither, the bounds and closed-form geometry commands run on the
     standard library, `mc` loads numpy, and a command loads scipy.integrate
-    only when it runs quadrature.
+    only when it runs quadrature (the cap-intersection integral).  No
+    command loads scipy.interpolate.
     """
 
     @pytest.fixture(scope="class")
     def footprint(self):
-        # the quadrature command runs in its own interpreter, so what it
-        # loads is not inherited from the mc command
-        return (_probe_imports(_STDLIB_ONLY + [_MC_CONCENTRATION]),
-                _probe_imports([_QUADRATURE])[-1])
+        # the quadrature commands run in their own interpreter, so what the
+        # first loads is not inherited from the mc commands
+        return (_probe_imports(_STDLIB_ONLY + _NUMPY_ONLY),
+                _probe_imports(_QUADRATURE)[2:])
 
     def test_scipy_loaded_only_for_quadrature(self, footprint):
-        steps, (code, _, loaded) = footprint
-        names = [["import relaycap"], ["import relaycap.cli"], *_STDLIB_ONLY, _MC_CONCENTRATION]
+        steps, quadrature_steps = footprint
+        names = [["import relaycap"], ["import relaycap.cli"], *_STDLIB_ONLY, *_NUMPY_ONLY]
         for argv, (step_code, _, scipy) in zip(names, steps, strict=True):
             assert [step_code, scipy] == [EXIT_OK, []], argv
-        assert code == EXIT_OK
-        assert "scipy.integrate" in loaded
-        # scipy.integrate's own package imports scipy.optimize (its ODE and
-        # BVP solvers), so only scipy.interpolate can be held out here
-        assert "scipy.interpolate" not in loaded
+        for argv, (code, _, loaded) in zip(_QUADRATURE, quadrature_steps, strict=True):
+            assert code == EXIT_OK, argv
+            assert "scipy.integrate" in loaded, argv
+            # scipy.integrate's own package imports scipy.optimize (its ODE
+            # and BVP solvers), so only scipy.interpolate can be held out here
+            assert "scipy.interpolate" not in loaded, argv
 
     def test_numpy_loaded_only_for_array_work(self, footprint):
-        steps, (_, quadrature_numpy, _) = footprint
-        *stdlib_steps, (_, mc_numpy, _) = steps
-        names = [["import relaycap"], ["import relaycap.cli"], *_STDLIB_ONLY]
-        for argv, (_, numpy, _) in zip(names, stdlib_steps, strict=True):
-            assert not numpy, argv
-        assert mc_numpy
-        assert quadrature_numpy
+        steps, quadrature_steps = footprint
+        n_stdlib = 2 + len(_STDLIB_ONLY)
+        names = [["import relaycap"], ["import relaycap.cli"], *_STDLIB_ONLY, *_NUMPY_ONLY]
+        for i, (argv, (_, numpy, _)) in enumerate(zip(names, steps, strict=True)):
+            assert numpy == (i >= n_stdlib), argv
+        assert all(numpy for _, numpy, _ in quadrature_steps)

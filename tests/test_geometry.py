@@ -18,7 +18,6 @@ from relaycap import (
     cap_intersection_exponent,
     log_ball_intersection,
     log_cap_area,
-    log_cap_area_quadrature,
     log_cap_intersection,
     log_shell_cap_volume,
     log_shell_volume,
@@ -34,8 +33,9 @@ from relaycap.geometry import (
     _lens_piece_log2_integrand,
     _log2_sin_integral_zero_to,
     log2_reg_inc_beta,
-    log2_sin_power_integral,
 )
+
+from oracles import log2_cap_area_mpmath, log2_sin_power_integral, log_cap_area_quadrature
 
 deg = math.radians
 HALF_PI = math.pi / 2
@@ -161,6 +161,13 @@ class TestCapArea:
         a = log_cap_area(spec).log2_value
         b = log_cap_area_quadrature(spec).log2_value
         assert abs(a - b) <= 1e-8 * abs(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(3, 5000), theta=st.floats(0.0, math.pi, exclude_min=True,
+                                                    exclude_max=True))
+    def test_against_mpmath_oracle(self, m, theta):
+        v = log_cap_area(CapSpec(m, 1.0, theta)).log2_value
+        assert abs(v - log2_cap_area_mpmath(m, 1.0, theta)) <= 1e-12 * max(1.0, abs(v))
 
     def test_complementarity(self):
         # cap(theta) + cap(pi - theta) = sphere, checked in linear space after

@@ -21,14 +21,12 @@ from relaycap import (
     log_cap_intersection,
     log_shell_cap_volume,
     montecarlo,
-    sample_uniform_cap,
-    sample_uniform_sphere,
     verify_blowup,
     verify_concentration,
     verify_isoperimetry_shell,
     verify_isoperimetry_sphere,
 )
-from relaycap.geometry import _log2_sin_integral_zero_to, log2_sin_power_integral, reg_inc_beta
+from relaycap.geometry import _log2_sin_integral_zero_to, reg_inc_beta
 from relaycap.montecarlo import (
     HALF_PI,
     _log2_band_mass,
@@ -37,6 +35,14 @@ from relaycap.montecarlo import (
     _u_range,
     estimate_cap_intersection,
     trial_rng,
+)
+
+from oracles import (
+    log2_set_mass_quadrature,
+    log2_sin_power_integral,
+    polar_angles,
+    sample_uniform_cap,
+    sample_uniform_sphere,
 )
 
 deg = math.radians
@@ -162,6 +168,65 @@ class TestSphereSet:
         quad = log2_sin_power_integral(m - 2, HALF_PI - w, HALF_PI + w)
         assert abs(closed - quad) * math.log(2.0) <= 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(4, 5000),
+        shape=st.sampled_from(["cap", "band", "twocaps", "interval"]),
+        p=st.floats(0.0, 1.0),
+        q=st.floats(0.0, 1.0),
+    )
+    def test_mass_closed_form_matches_quadrature(self, m, shape, p, q):
+        # Every interval is at least 1e-3 wide.  A band is centred anywhere, so
+        # it may reach a pole, cross the equator or lie on one side of it;
+        # "interval" is a general [lo, hi].
+        if shape == "cap":
+            s = SphereSet.cap(m, 1e-3 + (math.pi - 1e-3) * p)
+        elif shape == "band":
+            s = SphereSet.band(m, math.pi * p, 5e-4 + (HALF_PI - 5e-4) * q)
+        elif shape == "twocaps":
+            a1 = 1e-3 + (math.pi - 3e-3) * p
+            s = SphereSet.two_cap_union(m, a1, 1e-3 + (math.pi - a1 - 2e-3) * q)
+        else:
+            lo = (math.pi - 1e-3) * p
+            s = SphereSet(m, ((lo, lo + 1e-3 + (math.pi - lo - 1e-3) * q),))
+        closed = s.log2_angular_mass()
+        quad = log2_set_mass_quadrature(m, s.intervals)
+        assert abs(closed - quad) * math.log(2.0) <= 1e-9
+
+    # (shape, m, theta in degrees, frac) -> float.hex of effective_theta of
+    # the set the CLI builds for `mc ... --set shape --theta theta --deg`, or
+    # with frac, of that set extruded over [0, frac] of a delta = 0.1 shell
+    # (as `mc isoperimetry-shell --extrude-hi frac` does).  Recorded with
+    # the set masses by quadrature; the closed forms keep every bit, except
+    # twocaps at m = 50, 80 deg, where the bisection to 1e-13 ends 402 ulps
+    # away (0x1.657184ae742dfp+0 by quadrature; the 50-digit root,
+    # 0x1.657184ae743a6p+0, lies between the two).
+    EFFECTIVE_PINNED = [
+        ("band", 50, 60, None, "0x1.0c152382d74b3p+0"),
+        ("band", 200, 70, None, "0x1.38c35418c7115p+0"),
+        ("band", 400, 80, None, "0x1.657184ae74471p+0"),
+        ("band", 1000, 70, None, "0x1.53da1e6c6a7cep+0"),
+        ("twocaps", 50, 80, None, "0x1.657184ae74471p+0"),
+        ("twocaps", 300, 70, None, "0x1.38c35418a5c94p+0"),
+        ("twocaps", 1000, 60, None, "0x1.0c152382d7321p+0"),
+        ("band", 200, 70, 0.1, "0x1.08d9df00f1703p+0"),
+        ("twocaps", 500, 65, 0.1, "0x1.f425c83863586p-1"),
+        ("cap", 800, 75, 0.1, "0x1.154ebbbe67727p+0"),
+        ("band", 100, 60, 1.0, "0x1.0c152383524e9p+0"),
+    ]
+
+    @pytest.mark.parametrize("shape, m, theta_deg, frac, theta_hex", EFFECTIVE_PINNED)
+    def test_effective_theta_bits_pinned(self, shape, m, theta_deg, frac, theta_hex):
+        make = {
+            "cap": SphereSet.cap,
+            "band": SphereSet.band_with_effective_angle,
+            "twocaps": SphereSet.two_caps_with_effective_angle,
+        }[shape]
+        s = make(m, deg(theta_deg))
+        if frac is not None:
+            s = ShellSet.extruded(ShellSpec(m, 1.0, 0.1), s, 0.0, frac)
+        assert s.effective_theta.hex() == theta_hex
+
     @pytest.mark.parametrize("m", [4, 20, 120, 300, 440, 460, 500, 1000, 3000])
     def test_band_floor_at_one_ulp(self, m):
         theta, u = deg(70), math.ulp(HALF_PI)
@@ -206,7 +271,7 @@ class TestSphereSet:
             SphereSet.two_cap_union(30, deg(100), deg(100))
 
     def test_interval_merging(self):
-        s = SphereSet(10, ((0.2, 0.5), (0.4, 0.9)), np.eye(10)[0])
+        s = SphereSet(10, ((0.2, 0.5), (0.4, 0.9)))
         assert s.intervals == ((0.2, 0.9),)
 
     def test_expanded_intervals_clip(self):
@@ -223,9 +288,8 @@ class TestSphereSet:
 class TestIntersectionEstimator:
     def test_whole_sphere_set_recovers_cap_area(self):
         m, beta = 20, deg(50)
-        s = SphereSet(m, ((0.0, math.pi),), np.eye(m)[0])
-        y = np.eye(m)[1]
-        est, se = estimate_cap_intersection(s, y, beta, 20_000, trial_rng(8, 0), 1.0)
+        s = SphereSet(m, ((0.0, math.pi),))
+        est, se = estimate_cap_intersection(s, 0.0, beta, 20_000, trial_rng(8, 0), 1.0)
         exact = log_cap_area(CapSpec(m, 1.0, beta)).log2_value
         assert abs(est - exact) <= 4 * se
 
@@ -233,12 +297,10 @@ class TestIntersectionEstimator:
     def test_orthogonal_pole_cap_matches_quadrature(self, m):
         theta, beta = deg(70), deg(35) + 0.1
         s = SphereSet.cap(m, theta)
-        y = np.zeros(m)
-        y[1] = 1.0
         R = math.sqrt(m)
         ests, ses = [], []
         for t in range(6):
-            e, se = estimate_cap_intersection(s, y, beta, 10_000, trial_rng(10, t), R)
+            e, se = estimate_cap_intersection(s, 0.0, beta, 10_000, trial_rng(10, t), R)
             ests.append(e)
             ses.append(se)
         exact = log_cap_intersection(m, 1.0, theta, beta).log2_value
@@ -246,28 +308,26 @@ class TestIntersectionEstimator:
         assert abs(float(np.mean(ests)) - exact) <= 5 * pooled_se
 
     def test_set_inside_cap_recovers_set_measure(self):
-        # Y along the set axis with a wide cap: the intersection is the whole
-        # set; also exercises the degenerate axis-parallel branch.
+        # Y at e1 with a wide cap: the intersection is the whole set; also
+        # exercises the degenerate branch where Y is parallel to e1.
         m = 20
         s = SphereSet.cap(m, deg(30))
-        y = np.eye(m)[0]
-        est, se = estimate_cap_intersection(s, y, deg(50), 20_000, trial_rng(11, 0), 1.0)
+        est, se = estimate_cap_intersection(s, 1.0, deg(50), 20_000, trial_rng(11, 0), 1.0)
         exact = log_cap_area(CapSpec(m, 1.0, deg(30))).log2_value
         assert abs(est - exact) <= 4 * se
 
     def test_empty_intersection(self):
         m = 12
         s = SphereSet.cap(m, deg(10))
-        y = -np.eye(m)[0]  # antipodal pole, small cap: empty overlap
-        est, _ = estimate_cap_intersection(s, y, deg(20), 2_000, trial_rng(12, 0), 1.0)
+        # antipodal pole (cy = -1), small cap: empty overlap
+        est, _ = estimate_cap_intersection(s, -1.0, deg(20), 2_000, trial_rng(12, 0), 1.0)
         assert est == -math.inf
 
     def test_determinism(self):
         m = 30
         s = SphereSet.cap(m, deg(60))
-        y = np.eye(m)[2]
-        a = estimate_cap_intersection(s, y, deg(50), 5_000, trial_rng(13, 3), 1.0)
-        b = estimate_cap_intersection(s, y, deg(50), 5_000, trial_rng(13, 3), 1.0)
+        a = estimate_cap_intersection(s, 0.0, deg(50), 5_000, trial_rng(13, 3), 1.0)
+        b = estimate_cap_intersection(s, 0.0, deg(50), 5_000, trial_rng(13, 3), 1.0)
         assert a == b
 
     # Sets built from explicit angles, so the pinned bits depend on the
@@ -278,12 +338,13 @@ class TestIntersectionEstimator:
         "band": lambda m: SphereSet.band(m, HALF_PI, 0.3),
         "twocaps": lambda m: SphereSet.two_cap_union(m, deg(50), deg(60)),
         "3 bands": lambda m: SphereSet(
-            m, ((deg(10), deg(30)), (deg(60), deg(100)), (deg(140), deg(170))), np.eye(m)[0]
+            m, ((deg(10), deg(30)), (deg(60), deg(100)), (deg(140), deg(170)))
         ),
     }
     # (set, m, beta, samples, y) -> float.hex of (estimate, se); y is "+axis",
-    # "-axis" (cy = +-1 exactly) or "rng" (a Gaussian draw from the trial's
-    # stream, which then feeds the estimator, as the verifiers do).  Recorded
+    # "-axis" (cy = +-1 exactly) or "rng" (cy = y[0] / |y| of a Gaussian draw
+    # y from the trial's stream, which then feeds the estimator, as the
+    # verifiers do).  Recorded
     # from the cosine-coordinate estimator (w = 1 - cos rho drawn on the
     # reachable ranges, u = cos psi on the member range) with numpy 2.4 on
     # x86-64; seeded mc output is byte-stable only while these hold.
@@ -321,10 +382,11 @@ class TestIntersectionEstimator:
     def test_bits_pinned(self, name, m, beta, k, y_kind, est_hex, se_hex):
         s = self.BITS_SETS[name](m)
         rng = trial_rng(23, m)
-        y = {"+axis": s.axis, "-axis": -s.axis}.get(y_kind)
-        if y is None:
+        cy = {"+axis": 1.0, "-axis": -1.0}.get(y_kind)
+        if cy is None:
             y = rng.standard_normal(m)
-        est, se = estimate_cap_intersection(s, y, beta, k, rng, math.sqrt(m))
+            cy = y[0] / np.linalg.norm(y)
+        est, se = estimate_cap_intersection(s, cy, beta, k, rng, math.sqrt(m))
         assert (est.hex(), se.hex()) == (est_hex, se_hex)
 
 
@@ -348,15 +410,15 @@ def _frame(m, alpha):
     return y, t
 
 
-def _cy_ca(sphere_set, y):
-    """cos and sin of the angle between y and the axis, as the estimator forms them."""
-    cy = min(max(float(y / np.linalg.norm(y) @ sphere_set.axis), -1.0), 1.0)
+def _cy_ca(y):
+    """cos and sin of the angle between y and e1, as the estimator forms them."""
+    cy = min(max(float(y[0] / np.linalg.norm(y)), -1.0), 1.0)
     return cy, math.sqrt(max(0.0, 1.0 - cy * cy))
 
 
 _SHAPES = st.sampled_from(["cap", "band", "twocaps"])
 _UNIT = st.floats(0.0, 1.0, exclude_max=True)
-# y on the axis (alpha = 0 or pi, so cy = +-1 exactly) or off it.
+# y at +-e1 (alpha = 0 or pi, so cy = +-1 exactly) or off the axis.
 _ALPHA = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(1e-6, math.pi - 1e-6))
 
 
@@ -379,8 +441,8 @@ class TestCosineCoordinates:
         e3 = np.zeros(m)
         e3[2] = 1.0
         x = math.cos(rho) * y + math.sin(rho) * (u * t + math.sqrt(1.0 - u * u) * e3)
-        polar = math.acos(min(max(float(x @ s.axis), -1.0), 1.0))
-        cy, ca = _cy_ca(s, y)
+        polar = math.acos(min(max(float(x[0]), -1.0), 1.0))
+        cy, ca = _cy_ca(y)
         cc = np.array([math.cos(rho) * cy])
         den = np.array([max(math.sin(rho) * ca, 1e-300)])
         in_range = False
@@ -396,7 +458,7 @@ class TestCosineCoordinates:
                     x_end = math.cos(rho) * y + math.sin(rho) * (
                         end * t + math.sqrt(1.0 - end * end) * e3
                     )
-                    assert float(x_end @ s.axis) == pytest.approx(math.cos(edge), abs=1e-12)
+                    assert float(x_end[0]) == pytest.approx(math.cos(edge), abs=1e-12)
             # Points within rounding of an end are not decided here.
             assume(min(abs(u - a), abs(u - (a + length))) > 1e-7)
             in_range |= a <= u <= a + length
@@ -434,11 +496,11 @@ class TestCosineCoordinates:
         m = 6
         s = _set_of_shape(shape, m, p, q)
         y, _ = _frame(m, alpha)
-        ranges = _reachable_w_ranges(s.intervals, _cy_ca(s, y)[0], beta)
+        ranges = _reachable_w_ranges(s.intervals, _cy_ca(y)[0], beta)
         if shape != "twocaps":
             assert len(ranges) <= 1  # one piece: no dead draw for a cap or band
         pts = sample_uniform_cap(m, 1.0, y, beta, trial_rng(seed, 0), size=400)
-        member = s.contains_polar(s.polar_angles(pts))
+        member = s.contains_polar(polar_angles(pts))
         w = 1.0 - np.clip(pts[member] @ y, -1.0, 1.0)
         inside = np.zeros(w.shape, dtype=bool)
         for a, b in ranges:
@@ -464,8 +526,9 @@ class TestCosineCoordinates:
             return point, total
 
         monkeypatch.setattr(montecarlo, "_spread", recording_spread)
-        estimate_cap_intersection(s, y, beta, 5_000, trial_rng(31, 0), 1.0)
-        ranges = _reachable_w_ranges(s.intervals, _cy_ca(s, y)[0], beta)
+        cy = _cy_ca(y)[0]
+        estimate_cap_intersection(s, cy, beta, 5_000, trial_rng(31, 0), 1.0)
+        ranges = _reachable_w_ranges(s.intervals, cy, beta)
         if not ranges:
             assert draws == []
             return
@@ -482,12 +545,12 @@ class TestCosineCoordinates:
         # silently read as an empty intersection.
         s = SphereSet.cap(20, 1.0)
         with pytest.raises(NumericalError):
-            estimate_cap_intersection(s, s.axis, 1e-200, 100, trial_rng(1, 0), 1.0)
-        est, _ = estimate_cap_intersection(s, s.axis, 1e-140, 100, trial_rng(1, 0), 1.0)
+            estimate_cap_intersection(s, 1.0, 1e-200, 100, trial_rng(1, 0), 1.0)
+        est, _ = estimate_cap_intersection(s, 1.0, 1e-140, 100, trial_rng(1, 0), 1.0)
         assert math.isfinite(est)
 
     def test_m4_pole_draws_are_not_nan(self):
-        # At m = 4 the (1 - u^2) exponent is 0; with y on the axis every u in
+        # At m = 4 the (1 - u^2) exponent is 0; with y at +-e1 every u in
         # [-1, 1] is a member and u = -1 + 2v reaches -1 at v = 0.
         class Edges:
             def random(self, k):
@@ -495,11 +558,11 @@ class TestCosineCoordinates:
 
         m = 4
         s = SphereSet.cap(m, deg(30))
-        for y in (s.axis, -s.axis):
-            est, se = estimate_cap_intersection(s, y, math.pi, 3, Edges(), 1.0)
+        for cy in (1.0, -1.0):
+            est, se = estimate_cap_intersection(s, cy, math.pi, 3, Edges(), 1.0)
             assert not math.isnan(est) and not math.isnan(se)
             assert math.isfinite(est)
-        est, se = estimate_cap_intersection(s, s.axis, deg(50), 20_000, trial_rng(11, 0), 1.0)
+        est, se = estimate_cap_intersection(s, 1.0, deg(50), 20_000, trial_rng(11, 0), 1.0)
         assert abs(est - log_cap_area(CapSpec(m, 1.0, deg(30))).log2_value) <= 4 * se
 
 
