@@ -169,43 +169,91 @@ def _log2_beta_fn(a: float, b: float) -> float:
     return (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)) / LN2
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz's method)."""
+def _beta_cf(a: float, b: float, x: float, table: list) -> float:
+    """Continued fraction for the incomplete beta function (Lentz's method).
+
+    Row i of `table` holds iteration i + 1's two (numerator, denominator)
+    pairs, which depend on (a, b) alone; rows are appended as first needed,
+    so a caller sweeping x at one shape passes one list and builds each once.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
+    if -_FPMIN < d < _FPMIN:
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for it in range(1, _BETA_MAX_ITER + 1):
+    rows = table
+    while True:
+        for num1, den1, num2, den2 in rows:
+            aa = num1 * x / den1
+            d = 1.0 + aa * d
+            if -_FPMIN < d < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if -_FPMIN < c < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            h *= d * c
+            aa = num2 * x / den2
+            d = 1.0 + aa * d
+            if -_FPMIN < d < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if -_FPMIN < c < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < _BETA_EPS:
+                return h
+        it = len(table) + 1
+        if it > _BETA_MAX_ITER:
+            raise NumericalError(
+                f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
+            )
         m2 = 2 * it
-        aa = it * (b - it) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + it) * (qab + it) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    raise NumericalError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
-    )
+        rows = [(it * (b - it), (qam + m2) * (a + m2),
+                 -(a + it) * (qab + it), (a + m2) * (qap + m2))]
+        table.extend(rows)
+
+
+def _inc_beta_shape(a: float, b: float) -> tuple:
+    """(a, b, log2 B(a, b), switch point, _beta_cf tables for x and 1 - x)."""
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"beta parameters must be > 0, got a={a}, b={b}")
+    return a, b, _log2_beta_fn(a, b), (a + 1.0) / (a + b + 2.0), [], []
+
+
+def _reg_inc_beta(x: float, shape: tuple) -> float:
+    a, b, log2_beta, switch, lower, upper = shape
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"incomplete beta argument must lie in [0, 1], got x={x}")
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = a * math.log(x) + b * math.log1p(-x) - LN2 * log2_beta
+    if x < switch:
+        return math.exp(ln_front) * _beta_cf(a, b, x, lower) / a
+    return 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - x, upper) / b
+
+
+def _log2_reg_inc_beta(x: float, shape: tuple) -> float:
+    a, b, log2_beta, switch, lower, _ = shape
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"incomplete beta argument must lie in [0, 1], got x={x}")
+    if x == 0.0:
+        return -math.inf
+    if x == 1.0:
+        return 0.0
+    if x < switch:
+        log2_front = (a * math.log(x) + b * math.log1p(-x)) / LN2 - log2_beta
+        return log2_front + math.log2(_beta_cf(a, b, x, lower) / a)
+    # Above the switch the value is O(1); the linear route cannot underflow.
+    return math.log2(_reg_inc_beta(x, shape))
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -214,37 +262,12 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     Continued-fraction evaluation with the standard symmetry switch at
     x = (a+1)/(a+b+2); relative accuracy ~1e-14 over the full domain.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta parameters must be > 0, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"incomplete beta argument must lie in [0, 1], got x={x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        a * math.log(x) + b * math.log1p(-x) - LN2 * _log2_beta_fn(a, b)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_cf(a, b, x) / a
-    return 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - x) / b
+    return _reg_inc_beta(x, _inc_beta_shape(a, b))
 
 
 def log2_reg_inc_beta(x: float, a: float, b: float) -> float:
     """log2 of I_x(a, b), finite (not underflowed) even when I_x ~ 2^-10000."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta parameters must be > 0, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"incomplete beta argument must lie in [0, 1], got x={x}")
-    if x == 0.0:
-        return -math.inf
-    if x == 1.0:
-        return 0.0
-    if x < (a + 1.0) / (a + b + 2.0):
-        log2_front = (a * math.log(x) + b * math.log1p(-x)) / LN2 - _log2_beta_fn(a, b)
-        return log2_front + math.log2(_beta_cf(a, b, x) / a)
-    # Above the switch the value is O(1); the linear route cannot underflow.
-    return math.log2(reg_inc_beta(x, a, b))
+    return _log2_reg_inc_beta(x, _inc_beta_shape(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +429,24 @@ def _lens_piece_log2_integrand(m: int, phi_ref: float):
     """log2 of sin^(m-2)(rho) I_x((m-2)/2, 1/2), x = 1 - tan^2(phi_ref)/tan^2(rho).
 
     The integrand of one log_cap_intersection piece; nondecreasing in rho
-    on [phi_ref, pi/2].
+    on [phi_ref, pi/2].  Everything that depends on (m, phi_ref) alone is
+    built once here, not at each quadrature node.
     """
     a = (m - 2) / 2.0
     tan_ref = math.tan(phi_ref)
+    shape = _inc_beta_shape(a, 0.5)
 
     def g(rho: float) -> float:
         s = math.sin(rho)
         if s <= 0.0:
             return -math.inf
         t = tan_ref / math.tan(rho)
-        x = min(max(1.0 - t * t, 0.0), 1.0)
-        lb = log2_reg_inc_beta(x, a, 0.5)
+        x = 1.0 - t * t
+        if x < 0.0:
+            x = 0.0
+        elif x > 1.0:
+            x = 1.0
+        lb = _log2_reg_inc_beta(x, shape)
         if lb == -math.inf:
             return -math.inf
         return (m - 2) * math.log2(s) + lb

@@ -7,7 +7,11 @@ Nothing here is used by the package itself:
 - log-domain quadrature of the sin^k integrals behind every cap and set
   mass, over `geometry._log2_quad` (the package's closed forms are checked
   against it);
-- a 40-digit mpmath evaluation of cap areas.
+- a 40-digit mpmath evaluation of cap areas;
+- a frozen copy of the incomplete beta and the lens-piece integrand as they
+  were before the package built their constants once per shape: one
+  continued fraction per call, its coefficients formed inside the loop.
+  The package must return the same floats and raise the same errors.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ import mpmath as mp
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from relaycap.errors import DomainError
+from relaycap.errors import DomainError, NumericalError
 from relaycap.geometry import (
+    LN2,
     CapSpec,
     LogMeasure,
     MeasureKind,
+    _log2_beta_fn,
     _log2_cap_front,
     _log2_quad,
     _log2_sin_integral_zero_to,
@@ -166,3 +172,100 @@ def log2_cap_area_mpmath(m: int, R: float, theta: float) -> float:
         reg = mp.betainc(mp.mpf(m - 1) / 2, mp.mpf(1) / 2, 0, mp.sin(t) ** 2, regularized=True)
         frac = reg / 2 if 2 * t <= mp.pi else 1 - reg / 2
         return float(mp.log(sphere * frac, 2))
+
+
+_BETA_MAX_ITER = 500
+_BETA_EPS = 1e-15
+_FPMIN = 1e-300
+
+
+def beta_cf_frozen(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta function (Lentz's method)."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for it in range(1, _BETA_MAX_ITER + 1):
+        m2 = 2 * it
+        aa = it * (b - it) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + it) * (qab + it) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _BETA_EPS:
+            return h
+    raise NumericalError(
+        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
+    )
+
+
+def reg_inc_beta_frozen(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta function I_x(a, b)."""
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"beta parameters must be > 0, got a={a}, b={b}")
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"incomplete beta argument must lie in [0, 1], got x={x}")
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = (
+        a * math.log(x) + b * math.log1p(-x) - LN2 * _log2_beta_fn(a, b)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(ln_front) * beta_cf_frozen(a, b, x) / a
+    return 1.0 - math.exp(ln_front) * beta_cf_frozen(b, a, 1.0 - x) / b
+
+
+def log2_reg_inc_beta_frozen(x: float, a: float, b: float) -> float:
+    """log2 of I_x(a, b), finite (not underflowed) even when I_x ~ 2^-10000."""
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"beta parameters must be > 0, got a={a}, b={b}")
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"incomplete beta argument must lie in [0, 1], got x={x}")
+    if x == 0.0:
+        return -math.inf
+    if x == 1.0:
+        return 0.0
+    if x < (a + 1.0) / (a + b + 2.0):
+        log2_front = (a * math.log(x) + b * math.log1p(-x)) / LN2 - _log2_beta_fn(a, b)
+        return log2_front + math.log2(beta_cf_frozen(a, b, x) / a)
+    return math.log2(reg_inc_beta_frozen(x, a, b))
+
+
+def lens_piece_log2_integrand_frozen(m: int, phi_ref: float):
+    """log2 of sin^(m-2)(rho) I_x((m-2)/2, 1/2), x = 1 - tan^2(phi_ref)/tan^2(rho)."""
+    a = (m - 2) / 2.0
+    tan_ref = math.tan(phi_ref)
+
+    def g(rho: float) -> float:
+        s = math.sin(rho)
+        if s <= 0.0:
+            return -math.inf
+        t = tan_ref / math.tan(rho)
+        x = min(max(1.0 - t * t, 0.0), 1.0)
+        lb = log2_reg_inc_beta_frozen(x, a, 0.5)
+        if lb == -math.inf:
+            return -math.inf
+        return (m - 2) * math.log2(s) + lb
+
+    return g

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
@@ -25,6 +25,7 @@ from relaycap import (
     log_sphere_area,
     reg_inc_beta,
 )
+from relaycap.errors import NumericalError
 import relaycap
 from relaycap import geometry
 from relaycap.geometry import (
@@ -35,10 +36,45 @@ from relaycap.geometry import (
     log2_reg_inc_beta,
 )
 
-from oracles import log2_cap_area_mpmath, log2_sin_power_integral, log_cap_area_quadrature
+from oracles import (
+    lens_piece_log2_integrand_frozen,
+    log2_cap_area_mpmath,
+    log2_reg_inc_beta_frozen,
+    log2_sin_power_integral,
+    log_cap_area_quadrature,
+    reg_inc_beta_frozen,
+)
 
 deg = math.radians
 HALF_PI = math.pi / 2
+
+
+def _bits(f, *args):
+    """f(*args) as exact float bits, or the type and message of the error it raised."""
+    try:
+        return float(f(*args)).hex()
+    except (DomainError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _lens_angles():
+    """Valid lens angles: theta2 = pi/2 - theta1 * u with u in [0, 1), or a 1e-7 overlap.
+
+    The overlap theta1 + theta2 - pi/2 = 1e-7 is the near-degenerate input
+    of the benchmark.  Callers still drop pairs whose float overlap rounds
+    to sin^2 theta1 + sin^2 theta2 - 1 <= 0.
+    """
+    spread = st.tuples(
+        st.floats(0.0, HALF_PI, exclude_min=True), st.floats(0.0, 1.0, exclude_max=True)
+    ).map(lambda p: (p[0], HALF_PI - p[0] * p[1]))
+    thin = st.floats(1e-6, HALF_PI).map(lambda t: (t, HALF_PI - t + 1e-7))
+    return st.one_of(spread, thin)
+
+
+def _lens_pieces(theta1, theta2):
+    """(phi_ref, theta_cap) of both log_cap_intersection pieces."""
+    phi = math.atan2(math.cos(theta1), math.cos(theta2))
+    return (phi, theta2), (HALF_PI - phi, theta1)
 
 
 def _closed_window(k, lo, hi):
@@ -108,6 +144,29 @@ class TestRegIncBeta:
                 assert log2_reg_inc_beta(x, a, b) == pytest.approx(
                     math.log2(lin), abs=1e-10
                 )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.one_of(st.floats(-3, 7).map(lambda e: 10.0 ** e), st.sampled_from([0.0, -1.0])),
+        b=st.one_of(st.floats(-3, 7).map(lambda e: 10.0 ** e), st.just(0.5)),
+        x=st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, -1e-300, 1.0 + 2.0 ** -52])),
+        at_switch=st.booleans(),
+    )
+    def test_same_floats_as_frozen_loop(self, a, b, x, at_switch):
+        if at_switch and a > 0.0:
+            x = (a + 1.0) / (a + b + 2.0)
+        assert _bits(reg_inc_beta, x, a, b) == _bits(reg_inc_beta_frozen, x, a, b)
+        assert _bits(log2_reg_inc_beta, x, a, b) == _bits(log2_reg_inc_beta_frozen, x, a, b)
+
+    @pytest.mark.parametrize("x, a, b", [(0.5, 1e8, 1e8), (0.49999, 1e8, 1e8), (float("nan"), 2.0, 3.0)])
+    def test_same_errors_as_frozen_loop(self, x, a, b):
+        # (0.5, 1e8, 1e8) and (0.49999, 1e8, 1e8) hit the iteration cap on either side
+        # of the switch point; NaN fails the domain check
+        for ours, frozen in ((reg_inc_beta, reg_inc_beta_frozen),
+                             (log2_reg_inc_beta, log2_reg_inc_beta_frozen)):
+            outcome = _bits(ours, x, a, b)
+            assert outcome == _bits(frozen, x, a, b)
+            assert outcome[0] in ("NumericalError", "DomainError")
 
     def test_log2_deep_tail_against_mpmath(self):
         # Values like 2^-806 underflow float64; the log route stays exact.
@@ -240,32 +299,54 @@ class TestSinPowerIntegral:
 
 class TestCapIntersection:
     @settings(max_examples=200, deadline=None)
-    @given(
-        m=st.integers(4, 10**6),
-        theta1=st.floats(0.0, HALF_PI, exclude_min=True),
-        theta2=st.floats(0.0, HALF_PI, exclude_min=True),
-    )
-    def test_piece_integrands_nondecreasing(self, m, theta1, theta2):
+    @given(m=st.integers(4, 10**6), angles=_lens_angles())
+    def test_piece_integrands_nondecreasing(self, m, angles):
         # the quadrature takes each piece's peak at theta_cap on this premise
+        theta1, theta2 = angles
         assume(math.sin(theta1) ** 2 + math.sin(theta2) ** 2 - 1.0 > 0.0)
-        phi = math.atan2(math.cos(theta1), math.cos(theta2))
-        for phi_ref, theta_cap in ((phi, theta2), (HALF_PI - phi, theta1)):
+        for phi_ref, theta_cap in _lens_pieces(theta1, theta2):
             if theta_cap - phi_ref <= geometry._MIN_PIECE_WIDTH:
                 continue
             g = _lens_piece_log2_integrand(m, phi_ref)
             vals = [g(float(r)) for r in np.linspace(phi_ref, theta_cap, 65)]
             assert all(b >= a for a, b in zip(vals, vals[1:])), (phi_ref, theta_cap)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(4, 10**6),
+        angles=_lens_angles(),
+        where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    @example(m=90, angles=(1.0, HALF_PI - 1.0 + 1e-7), where=[0.0, 1e-9, 0.5, 1.0])
+    @example(m=10**4, angles=(HALF_PI, deg(35)), where=[0.0, 0.25, 1.0])
+    def test_piece_integrand_same_floats_as_frozen_route(self, m, angles, where):
+        # one piece integrand now serves every node of its piece; each value
+        # must be the very float of the per-node incomplete-beta route
+        theta1, theta2 = angles
+        assume(math.sin(theta1) ** 2 + math.sin(theta2) ** 2 - 1.0 > 0.0)
+        for phi_ref, theta_cap in _lens_pieces(theta1, theta2):
+            g = _lens_piece_log2_integrand(m, phi_ref)
+            frozen = lens_piece_log2_integrand_frozen(m, phi_ref)
+            for w in where:
+                rho = phi_ref + w * (theta_cap - phi_ref)
+                assert _bits(g, rho) == _bits(frozen, rho), (phi_ref, theta_cap, rho)
+
     def test_incomplete_beta_call_budget(self, monkeypatch):
+        # each piece-integrand evaluation is one incomplete-beta evaluation
         calls = 0
-        inner = geometry.log2_reg_inc_beta
+        make = geometry._lens_piece_log2_integrand
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return inner(*args)
+        def counted_piece(m, phi_ref):
+            g = make(m, phi_ref)
 
-        monkeypatch.setattr(geometry, "log2_reg_inc_beta", counted)
+            def counted(rho):
+                nonlocal calls
+                calls += 1
+                return g(rho)
+
+            return counted
+
+        monkeypatch.setattr(geometry, "_lens_piece_log2_integrand", counted_piece)
         log_cap_intersection(10_000, 1.0, deg(70), deg(35))
         assert 0 < calls <= 400
 
