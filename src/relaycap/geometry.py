@@ -335,27 +335,54 @@ def _log2_quad(log2_f, a: float, b: float, peak_x: float, drop_bits: float = 70.
     return shift + math.log2(value)
 
 
-def _log2_sin_integral_zero_to(k: int, theta: float) -> float:
+def _log2_sin_integral(k: int, theta: float, log2_b: float, log2_inc_beta, inc_beta) -> float:
     """log2 of the integral of sin^k over [0, theta], via the closed beta form.
 
-    Below theta = 1e-150, where sin^2 theta heads for underflow, it is the
-    small-angle form theta^(k+1) / (k+1), whose relative error ~k theta^2
-    is far below an ulp.
+    log2_b is log2 B((k+1)/2, 1/2), and log2_inc_beta(x) and inc_beta(x)
+    evaluate log2 I_x and I_x at that shape.  Below theta = 1e-150, where
+    sin^2 theta heads for underflow, it is the small-angle form
+    theta^(k+1) / (k+1), whose relative error ~k theta^2 is far below an ulp.
     """
     if theta <= 0.0:
         return -math.inf
     if theta < 1e-150:
         return (k + 1) * math.log2(theta) - math.log2(k + 1)
-    a = (k + 1) / 2.0
-    log2_b = _log2_beta_fn(a, 0.5)
     if theta >= math.pi:
         return log2_b
     if theta <= math.pi / 2.0:
-        s2 = math.sin(theta) ** 2
-        return log2_b - 1.0 + log2_reg_inc_beta(s2, a, 0.5)
-    s2 = math.sin(math.pi - theta) ** 2
+        return log2_b - 1.0 + log2_inc_beta(math.sin(theta) ** 2)
     # Complement stays in [B/2, B]; no underflow risk in linear space.
-    return log2_b + math.log2(1.0 - 0.5 * reg_inc_beta(s2, a, 0.5))
+    return log2_b + math.log2(1.0 - 0.5 * inc_beta(math.sin(math.pi - theta) ** 2))
+
+
+def _log2_sin_integral_zero_to(k: int, theta: float) -> float:
+    """log2 of the integral of sin^k over [0, theta], one evaluation."""
+    a = (k + 1) / 2.0
+    return _log2_sin_integral(
+        k,
+        theta,
+        _log2_beta_fn(a, 0.5),
+        lambda x: log2_reg_inc_beta(x, a, 0.5),
+        lambda x: reg_inc_beta(x, a, 0.5),
+    )
+
+
+def _log2_sin_integral_from_zero(k: int):
+    """theta -> _log2_sin_integral_zero_to(k, theta), with the shape built once.
+
+    The incomplete beta's shape ((k+1)/2, 1/2) depends on k alone, so a
+    caller that sweeps theta (a bisection) builds it once; every value is
+    the float the one-shot form returns.
+    """
+    shape = _inc_beta_shape((k + 1) / 2.0, 0.5)
+
+    def log2_inc_beta(x: float) -> float:
+        return _log2_reg_inc_beta(x, shape)
+
+    def inc_beta(x: float) -> float:
+        return _reg_inc_beta(x, shape)
+
+    return lambda theta: _log2_sin_integral(k, theta, shape[2], log2_inc_beta, inc_beta)
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,12 @@ from . import geometry
 from .errors import DomainError, NumericalError, UnsupportedSet
 from .geometry import (
     ShellSpec,
-    _log2_beta_fn,
+    _inc_beta_shape,
     _log2_radial_integral,
+    _log2_reg_inc_beta,
+    _log2_sin_integral_from_zero,
     _log2_sin_integral_zero_to,
     _logaddexp2,
-    log2_reg_inc_beta,
 )
 
 LN2 = math.log(2.0)
@@ -54,6 +55,31 @@ def trial_rng(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for (seed, stream); streams are disjoint."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _trial_streams(seed: int, trials: int):
+    """The generators trial_rng(seed, t) for t = 0, ..., trials - 1, in order.
+
+    One generator is made and re-keyed for each trial: its state is set to
+    that of a fresh trial_rng(seed, t), field for field (key (seed, t), zero
+    counter, empty buffer), so it draws the same numbers; a state write
+    costs ~1 us against ~20 us for a new Philox and Generator (x86_64,
+    numpy 2.4).  Every step yields the same object, so a stream ends where
+    the next one begins.
+    """
+    rng = trial_rng(seed, 0)
+    fresh = rng.bit_generator.state
+    key = fresh["state"]["key"].tolist()
+    # Plain ints, which the state setter reads faster than array elements.
+    state = {
+        **fresh,
+        "state": {"counter": fresh["state"]["counter"].tolist(), "key": key},
+        "buffer": fresh["buffer"].tolist(),
+    }
+    for t in range(trials):
+        key[1] = t
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _polar_cosines(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,10 +123,11 @@ def _contains_polar(intervals, polar: np.ndarray) -> np.ndarray:
 
 def _solve_angle_for_mass(m: int, target_log2: float) -> float:
     """Cap angle whose sin^(m-2) mass equals target_log2 (bisection to 1e-12)."""
+    mass = _log2_sin_integral_from_zero(m - 2)
     lo, hi = 0.0, math.pi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _log2_sin_integral_zero_to(m - 2, mid) < target_log2:
+        if mass(mid) < target_log2:
             lo = mid
         else:
             hi = mid
@@ -109,24 +136,32 @@ def _solve_angle_for_mass(m: int, target_log2: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _log2_band_mass(m: int, w: float) -> float:
-    """log2 of the sin^(m-2) mass of the equatorial band [pi/2 - w, pi/2 + w].
+def _log2_band_mass_of(m: int):
+    """w -> log2 of the sin^(m-2) mass of the equatorial band [pi/2 - w, pi/2 + w].
 
     Substituting v = cos^2(rho) gives B(1/2, (m-1)/2) I_{sin^2 w}(1/2, (m-1)/2);
     the incomplete beta's log form stays finite for bands far thinner than
-    the float spacing near pi/2.
+    the float spacing near pi/2.  Its shape is built once, for a bisection
+    over w.
     """
-    b = (m - 1) / 2.0
-    return _log2_beta_fn(0.5, b) + log2_reg_inc_beta(math.sin(w) ** 2, 0.5, b)
+    shape = _inc_beta_shape(0.5, (m - 1) / 2.0)
+    log2_beta = shape[2]
+    return lambda w: log2_beta + _log2_reg_inc_beta(math.sin(w) ** 2, shape)
+
+
+def _log2_band_mass(m: int, w: float) -> float:
+    """log2 of the sin^(m-2) mass of the band [pi/2 - w, pi/2 + w] (one-shot form)."""
+    return _log2_band_mass_of(m)(w)
 
 
 def _log2_interval_mass(m: int, lo: float, hi: float) -> float:
-    """log2 of the sin^(m-2) mass of the polar interval [lo, hi], in closed form.
+    """log2 of the sin^(m-2) mass of the polar interval [lo, hi].
 
     An interval from a pole is a cap (mirrored at pi), and one across the
     equator is two half-bands.  Any other lies on one side of the equator
     and is the difference of two caps, mirrored onto [0, pi/2] so that
-    neither cap passes the equator.
+    neither cap passes the equator, unless it holds less than half of the
+    larger cap: there the difference cancels, and a fixed rule is exact.
     """
     k = m - 2
     if lo == 0.0:
@@ -137,12 +172,30 @@ def _log2_interval_mass(m: int, lo: float, hi: float) -> float:
         return _logaddexp2(
             _log2_band_mass(m, HALF_PI - lo) - 1.0, _log2_band_mass(m, hi - HALF_PI) - 1.0
         )
-    if lo >= HALF_PI:
-        lo, hi = math.pi - hi, math.pi - lo
-    outer = _log2_sin_integral_zero_to(k, hi)
-    rest = -math.expm1((_log2_sin_integral_zero_to(k, lo) - outer) * LN2)
-    # an interval narrower than the caps' rounding has no resolvable mass
-    return outer + math.log2(rest) if rest > 0.0 else -math.inf
+    cap_lo, cap_hi = (math.pi - hi, math.pi - lo) if lo >= HALF_PI else (lo, hi)
+    mass = _log2_sin_integral_from_zero(k)
+    outer = mass(cap_hi)
+    rest = -math.expm1((mass(cap_lo) - outer) * LN2)
+    if rest >= 0.5:
+        return outer + math.log2(rest)
+    return _log2_sin_power_gauss(k, lo, hi)
+
+
+def _log2_sin_power_gauss(k: int, lo: float, hi: float) -> float:
+    """log2 of the integral of sin^k over [lo, hi], by a 12-point Gauss-Legendre rule.
+
+    For an interval on one side of the equator that holds less than half of
+    the cap it closes, sin^k varies by less than a factor 2 over it (sin^k
+    is log-concave), and as an entire function it is then integrated to
+    rounding by the fixed rule.  The nodes are shifted by their largest
+    log2 value, so nothing underflows; the ends are used as given, without
+    mirroring at the rounded pi.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    half = 0.5 * (hi - lo)
+    log2_f = k * np.log2(np.sin(0.5 * (lo + hi) + half * nodes))
+    shift = float(log2_f.max())
+    return shift + math.log2(half * float(weights @ np.exp2(log2_f - shift)))
 
 
 @dataclass(eq=False)
@@ -200,10 +253,11 @@ class SphereSet:
         if not theta > 0.0:
             raise DomainError(f"band effective angle must be positive, got {theta}")
         target = _log2_sin_integral_zero_to(m - 2, theta)
+        band_mass = _log2_band_mass_of(m)
         ln_lo, ln_hi = math.log(HALF_PI) - 800.0, math.log(HALF_PI)
         for _ in range(120):
             ln_mid = 0.5 * (ln_lo + ln_hi)
-            if _log2_band_mass(m, math.exp(ln_mid)) < target:
+            if band_mass(math.exp(ln_mid)) < target:
                 ln_lo = ln_mid
             else:
                 ln_hi = ln_mid
@@ -362,7 +416,8 @@ def _spread(v: np.ndarray, starts, lengths):
     is target + (start_j - cum_{j-1}) for the piece j whose running-sum
     range (cum_{j-1}, cum_j] holds target; the piece's offset is selected
     arithmetically, since masked ufuncs are several times slower.
-    Overwrites v; returns (point, total).
+    Overwrites v, and returns it as the point when there is one piece;
+    returns (point, total).
     """
     cums = []
     total = lengths[0]
@@ -370,6 +425,8 @@ def _spread(v: np.ndarray, starts, lengths):
         cums.append(total)
         total = total + length
     target = np.multiply(v, total, out=v)
+    if not cums:
+        return np.add(target, starts[0], out=target), total
     point = target + starts[0]
     prev = starts[0]
     for start, cum in zip(starts[1:], cums):
@@ -379,29 +436,139 @@ def _spread(v: np.ndarray, starts, lengths):
     return point, total
 
 
-def _u_range(lo: float, hi: float, cc: np.ndarray, den: np.ndarray):
-    """u-range [a, a + length] of the samples' circles inside polar [lo, hi].
+def _end_cosines(lo: float, hi: float) -> tuple[float | None, float | None]:
+    """(cos hi, cos lo) of a polar interval, None for an end at a pole."""
+    return (None if hi == math.pi else math.cos(hi), None if lo == 0.0 else math.cos(lo))
 
-    A point at u = cos(psi) has cosine cc + den * u to e1, so it lies in the
-    interval exactly for u in [(cos hi - cc) / den, (cos lo - cc) / den]
-    intersected with [-1, 1].  An end at a pole is the exact bound -1 or 1.
-    The start a is kept inside [-1, 1] even where the range is empty, so
-    `_spread`'s offsets stay at the scale of one.
+
+def _u_range(ends, cc: np.ndarray, den: np.ndarray, a_out: np.ndarray, b_out: np.ndarray):
+    """u-range [a, a + length] of the samples' circles inside a polar interval.
+
+    `ends` is the interval's `_end_cosines`.  A point at u = cos(psi) has
+    cosine cc + den * u to e1, so it lies in [lo, hi] exactly for u in
+    [(cos hi - cc) / den, (cos lo - cc) / den] intersected with [-1, 1].
+    An end at a pole is the exact bound -1 or 1.  The start a is kept inside
+    [-1, 1] even where the range is empty, so `_spread`'s offsets stay at
+    the scale of one.  a and the length are written to a_out and b_out.
     """
-    if hi == math.pi:
+    cos_hi, cos_lo = ends
+    if cos_hi is None:
         a = -1.0
     else:
-        a = np.subtract(math.cos(hi), cc)
+        a = np.subtract(cos_hi, cc, out=a_out)
         a /= den
         np.maximum(a, -1.0, out=a)
         np.minimum(a, 1.0, out=a)
-    if lo == 0.0:
+    if cos_lo is None:
         b = 1.0
     else:
-        b = np.subtract(math.cos(lo), cc)
+        b = np.subtract(cos_lo, cc, out=b_out)
         b /= den
         np.minimum(b, 1.0, out=b)
-    return a, np.maximum(b - a, 0.0)
+    length = np.subtract(b, a, out=b_out)
+    return a, np.maximum(length, 0.0, out=length)
+
+
+def _check_cap_angle(beta: float) -> None:
+    if not 0.0 < beta <= math.pi:
+        raise DomainError(f"cap angle must lie in (0, pi], got {beta}")
+
+
+class _Estimator:
+    """The intersection estimate of one set at one sample count and radius.
+
+    What does not depend on the pole or the cap angle is built once: the
+    interval end cosines, the weight exponent (m - 4)/2, the three terms of
+    the estimate's constant and k-length work buffers, which every estimate
+    overwrites.  The caller checks m >= 4, k >= 1 and the cap angle, and
+    enters np.errstate(divide="ignore"), under which log2(0) = -inf is a
+    dead draw's weight.
+    """
+
+    def __init__(self, sphere_set: SphereSet, k: int, radius: float):
+        m = sphere_set.m
+        self.m, self.k = m, k
+        self.intervals = sphere_set.intervals
+        self.ends = [_end_cosines(lo, hi) for lo, hi in self.intervals]
+        self.exponent = 0.5 * (m - 4)
+        self.log2_k = math.log2(k)
+        self.log2_radius_term = (m - 1) * math.log2(radius)
+        self.log2_area = geometry.log_sphere_area(m - 2, 1.0).log2_value
+        self.w, self.v, self.s2, self.s, self.den = (np.empty(k) for _ in range(5))
+        self.a_out = [np.empty(k) for _ in self.intervals]
+        self.b_out = [np.empty(k) for _ in self.intervals]
+
+    def estimate(
+        self, cy: float, beta: float, uniforms: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[float, np.ndarray | None, float]:
+        """(log2 estimate, relative weights, their sum) for the pole cosine cy.
+
+        `uniforms(out)` returns len(out) uniforms in [0, 1), written to out
+        or not; it is called for the w draws, then for the u draws, and not
+        at all when the cap cannot reach the set.  The weights are a work
+        buffer, valid until the next estimate; they are None, with an
+        estimate of -inf, when no sample carries weight.
+        """
+        k = self.k
+        cy = min(max(float(cy), -1.0), 1.0)
+        ca = math.sqrt(max(0.0, 1.0 - cy * cy))
+
+        ranges = _reachable_w_ranges(self.intervals, cy, beta)
+        if not ranges:
+            return -math.inf, None, 0.0
+        # Below rho ~ 1e-150, w = 1 - cos(rho) nears the subnormal range and
+        # loses its bits (or underflows to 0), so such a cap is out of reach.
+        if ranges[-1][1] < 2.0**-1000:
+            raise NumericalError(
+                f"every reachable polar angle is below ~1e-150 (beta = {beta}); "
+                "w = 1 - cos(rho) cannot resolve it"
+            )
+        w, w_len = _spread(uniforms(self.w), [a for a, _ in ranges], [b - a for a, b in ranges])
+        v = uniforms(self.v)
+        s2 = np.subtract(2.0, w, out=self.s2)
+        s2 *= w
+        np.maximum(s2, 0.0, out=s2)  # w may leave [0, 2] by an ulp
+        s = np.sqrt(s2, out=self.s)
+        cc = np.multiply(w, -cy, out=w)
+        cc += cy
+        den = np.multiply(s, ca, out=self.den)
+        np.maximum(den, 1e-300, out=den)
+        starts, lengths = zip(
+            *(_u_range(e, cc, den, a, b) for e, a, b in zip(self.ends, self.a_out, self.b_out))
+        )
+        u, total = _spread(v, starts, lengths)
+
+        # log2 w = log2(total * s) + ((m-4)/2) log2(s^2 (1 - u^2)); the second
+        # term is 0 at m = 4 and is skipped there, since u = +-1 would make it
+        # 0 * -inf.  A dead draw (in a pad, or one that rounding puts outside
+        # every member range) has total = 0 and weight exactly 0.
+        log_w = np.multiply(s, total, out=s)
+        np.log2(log_w, out=log_w)
+        if self.m > 4:
+            q = np.multiply(u, u, out=u)
+            np.subtract(1.0, q, out=q)
+            q *= s2
+            np.maximum(q, 0.0, out=q)  # |u| may pass 1 by an ulp
+            np.log2(q, out=q)
+            q *= self.exponent
+            log_w += q
+
+        w_max = float(np.maximum.reduce(log_w))
+        if w_max == -math.inf:
+            return -math.inf, None, 0.0
+        log_w -= w_max
+        # Weights below 2^-1000 of the largest are below an ulp of the sum (which
+        # is >= 1); lifting them to 2^-1000 keeps exp2 off its slow subnormal path.
+        np.maximum(log_w, -1000.0, out=log_w)
+        wt = np.exp2(log_w, out=log_w)
+        total_w = float(np.add.reduce(wt))
+        # The terms are added in this order, not pre-summed: the sum's last
+        # bits depend on it.
+        log2_est = (
+            math.log2(w_len) - self.log2_k + self.log2_radius_term + self.log2_area
+            + w_max + math.log2(total_w)
+        )
+        return log2_est, wt, total_w
 
 
 def estimate_cap_intersection(
@@ -431,70 +598,16 @@ def estimate_cap_intersection(
     m = sphere_set.m
     if m < 4:
         raise DomainError(f"intersection estimation needs m >= 4, got {m}")
-    if not 0.0 < beta <= math.pi:
-        raise DomainError(f"cap angle must lie in (0, pi], got {beta}")
+    _check_cap_angle(beta)
     k = int(n_samples)
     if k < 1:
         raise DomainError("need at least one sample")
-
-    cy = min(max(float(cy), -1.0), 1.0)
-    ca = math.sqrt(max(0.0, 1.0 - cy * cy))
-
-    ranges = _reachable_w_ranges(sphere_set.intervals, cy, beta)
-    if not ranges:
-        return -math.inf, math.inf
-    # Below rho ~ 1e-150, w = 1 - cos(rho) nears the subnormal range and
-    # loses its bits (or underflows to 0), so such a cap is out of reach.
-    if ranges[-1][1] < 2.0**-1000:
-        raise NumericalError(
-            f"every reachable polar angle is below ~1e-150 (beta = {beta}); "
-            "w = 1 - cos(rho) cannot resolve it"
-        )
-    w, w_len = _spread(rng.random(k), [a for a, _ in ranges], [b - a for a, b in ranges])
-    v = rng.random(k)
-    s2 = np.subtract(2.0, w)
-    s2 *= w
-    np.maximum(s2, 0.0, out=s2)  # w may leave [0, 2] by an ulp
-    s = np.sqrt(s2)
-    cc = np.multiply(w, -cy, out=w)
-    cc += cy
-    den = s * ca
-    np.maximum(den, 1e-300, out=den)
-    starts, lengths = zip(*(_u_range(lo, hi, cc, den) for lo, hi in sphere_set.intervals))
-    u, total = _spread(v, starts, lengths)
-
-    # log2 w = log2(total * s) + ((m-4)/2) log2(s^2 (1 - u^2)); the second
-    # term is 0 at m = 4 and is skipped there, since u = +-1 would make it
-    # 0 * -inf.  A dead draw (in a pad, or one that rounding puts outside
-    # every member range) has total = 0 and weight exactly 0.
     with np.errstate(divide="ignore"):
-        log_w = np.multiply(s, total, out=s)
-        np.log2(log_w, out=log_w)
-        if m > 4:
-            q = np.multiply(u, u, out=u)
-            np.subtract(1.0, q, out=q)
-            q *= s2
-            np.maximum(q, 0.0, out=q)  # |u| may pass 1 by an ulp
-            np.log2(q, out=q)
-            q *= 0.5 * (m - 4)
-            log_w += q
-
-    w_max = float(np.maximum.reduce(log_w))
-    if w_max == -math.inf:
+        log2_est, wt, total_w = _Estimator(sphere_set, k, radius).estimate(
+            cy, beta, lambda out: rng.random(len(out))
+        )
+    if wt is None:
         return -math.inf, math.inf
-    log_w -= w_max
-    # Weights below 2^-1000 of the largest are below an ulp of the sum (which
-    # is >= 1); lifting them to 2^-1000 keeps exp2 off its slow subnormal path.
-    np.maximum(log_w, -1000.0, out=log_w)
-    wt = np.exp2(log_w, out=log_w)
-    total_w = float(np.add.reduce(wt))
-    const = (
-        math.log2(w_len)
-        - math.log2(k)
-        + (m - 1) * math.log2(radius)
-        + geometry.log_sphere_area(m - 2, 1.0).log2_value
-    )
-    log2_est = const + w_max + math.log2(total_w)
     if k == 1:
         return log2_est, math.inf
     mean = total_w / k
@@ -660,22 +773,25 @@ def _isoperimetry_trials(
     v_log2 = log2_v(theta)
     log2_required = math.log2(1.0 - cfg.epsilon) + v_log2
     beta = min(omega + cfg.slack, math.pi)
+    _check_cap_angle(beta)
 
+    estimator = _Estimator(angular, cfg.samples_per_estimate, radius)
+    y = np.empty(m)
     successes = 0
     margins = []
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        # Only y's cosine to e1 matters; all m coordinates are drawn because
-        # the estimator's draws follow them in the trial's stream, and seeded
-        # output depends on where they start.
-        y = rng.standard_normal(m)
-        log2_est, _ = estimate_cap_intersection(
-            angular, y[0] / np.linalg.norm(y), beta, cfg.samples_per_estimate, rng, radius
-        )
-        margin = log2_est + log2_offset - log2_required
-        margins.append(margin)
-        if margin > 0.0:
-            successes += 1
+    with np.errstate(divide="ignore"):
+        for rng in _trial_streams(cfg.seed, cfg.trials):
+            # Only y's cosine to e1 matters; all m coordinates are drawn because
+            # the estimator's draws follow them in the trial's stream, and seeded
+            # output depends on where they start.  y[0] / |y| as np.linalg.norm
+            # forms it.
+            rng.standard_normal(out=y)
+            cy = float(y[0]) / math.sqrt(float(y.dot(y)))
+            log2_est, _, _ = estimator.estimate(cy, beta, lambda out: rng.random(out=out))
+            margin = log2_est + log2_offset - log2_required
+            margins.append(margin)
+            if margin > 0.0:
+                successes += 1
     estimate = successes / cfg.trials
     se = _binomial_se(estimate, cfg.trials)
     threshold = 1.0 - cfg.epsilon

@@ -7,11 +7,18 @@ Nothing here is used by the package itself:
 - log-domain quadrature of the sin^k integrals behind every cap and set
   mass, over `geometry._log2_quad` (the package's closed forms are checked
   against it);
-- a 40-digit mpmath evaluation of cap areas;
+- 40-digit mpmath cap areas and 50-digit masses of narrow polar
+  intervals;
 - a frozen copy of the incomplete beta and the lens-piece integrand as they
   were before the package built their constants once per shape: one
   continued fraction per call, its coefficients formed inside the loop.
-  The package must return the same floats and raise the same errors.
+  The package must return the same floats and raise the same errors;
+- a frozen copy of the isoperimetry trial route as it was before the loop
+  built its generator, constants and buffers once per request: a fresh
+  `trial_rng(seed, t)` per trial and a full `estimate_cap_intersection`
+  call (standard error included) on newly allocated arrays.  The
+  verifiers must report the same bits and raise the same errors at the
+  same trial.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import mpmath as mp
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from relaycap import geometry, montecarlo
 from relaycap.errors import DomainError, NumericalError
 from relaycap.geometry import (
     LN2,
@@ -174,6 +182,31 @@ def log2_cap_area_mpmath(m: int, R: float, theta: float) -> float:
         return float(mp.log(sphere * frac, 2))
 
 
+def log2_interval_mass_mpmath(m: int, lo: float, hi: float) -> float:
+    """log2 of the integral of sin^(m-2) over the float interval [lo, hi], at 50 digits.
+
+    A difference of two caps through mpmath's regularized betainc, mirrored
+    at the exact pi when the interval lies past the equator; at 50 digits
+    the difference keeps ~34 of them even for an interval one ulp wide.
+    """
+    with mp.workdps(50):
+        a = mp.mpf(m - 1) / 2
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        if hi > mp.pi / 2:
+            lo, hi = mp.pi - hi, mp.pi - lo
+
+        def cap(t):
+            return mp.betainc(a, mp.mpf(1) / 2, 0, mp.sin(t) ** 2, regularized=True)
+
+        return float(mp.log(mp.beta(a, mp.mpf(1) / 2) / 2 * (cap(hi) - cap(lo)), 2))
+
+
+def betainc_mpmath(a: float, b: float, x: float) -> float:
+    """The regularized incomplete beta I_x(a, b) at 40 digits, rounded to a float."""
+    with mp.workdps(40):
+        return float(mp.betainc(mp.mpf(a), mp.mpf(b), 0, mp.mpf(x), regularized=True))
+
+
 _BETA_MAX_ITER = 500
 _BETA_EPS = 1e-15
 _FPMIN = 1e-300
@@ -269,3 +302,194 @@ def lens_piece_log2_integrand_frozen(m: int, phi_ref: float):
         return (m - 2) * math.log2(s) + lb
 
     return g
+
+
+def _spread_frozen(v, starts, lengths):
+    cums = []
+    total = lengths[0]
+    for length in lengths[1:]:
+        cums.append(total)
+        total = total + length
+    target = np.multiply(v, total, out=v)
+    point = target + starts[0]
+    prev = starts[0]
+    for start, cum in zip(starts[1:], cums):
+        offset = start - cum
+        point += (target > cum) * (offset - prev)
+        prev = offset
+    return point, total
+
+
+def _u_range_frozen(lo, hi, cc, den):
+    if hi == math.pi:
+        a = -1.0
+    else:
+        a = np.subtract(math.cos(hi), cc)
+        a /= den
+        np.maximum(a, -1.0, out=a)
+        np.minimum(a, 1.0, out=a)
+    if lo == 0.0:
+        b = 1.0
+    else:
+        b = np.subtract(math.cos(lo), cc)
+        b /= den
+        np.minimum(b, 1.0, out=b)
+    return a, np.maximum(b - a, 0.0)
+
+
+def estimate_cap_intersection_frozen(sphere_set, cy, beta, n_samples, rng, radius=1.0):
+    """The intersection estimate with its standard error, one call per trial.
+
+    Reads the reachable w-ranges through `montecarlo._reachable_w_ranges`,
+    so a test that wraps that function wraps it for both routes.
+    """
+    m = sphere_set.m
+    if m < 4:
+        raise DomainError(f"intersection estimation needs m >= 4, got {m}")
+    if not 0.0 < beta <= math.pi:
+        raise DomainError(f"cap angle must lie in (0, pi], got {beta}")
+    k = int(n_samples)
+    if k < 1:
+        raise DomainError("need at least one sample")
+
+    cy = min(max(float(cy), -1.0), 1.0)
+    ca = math.sqrt(max(0.0, 1.0 - cy * cy))
+
+    ranges = montecarlo._reachable_w_ranges(sphere_set.intervals, cy, beta)
+    if not ranges:
+        return -math.inf, math.inf
+    if ranges[-1][1] < 2.0**-1000:
+        raise NumericalError(
+            f"every reachable polar angle is below ~1e-150 (beta = {beta}); "
+            "w = 1 - cos(rho) cannot resolve it"
+        )
+    w, w_len = _spread_frozen(rng.random(k), [a for a, _ in ranges], [b - a for a, b in ranges])
+    v = rng.random(k)
+    s2 = np.subtract(2.0, w)
+    s2 *= w
+    np.maximum(s2, 0.0, out=s2)
+    s = np.sqrt(s2)
+    cc = np.multiply(w, -cy, out=w)
+    cc += cy
+    den = s * ca
+    np.maximum(den, 1e-300, out=den)
+    starts, lengths = zip(*(_u_range_frozen(lo, hi, cc, den) for lo, hi in sphere_set.intervals))
+    u, total = _spread_frozen(v, starts, lengths)
+
+    with np.errstate(divide="ignore"):
+        log_w = np.multiply(s, total, out=s)
+        np.log2(log_w, out=log_w)
+        if m > 4:
+            q = np.multiply(u, u, out=u)
+            np.subtract(1.0, q, out=q)
+            q *= s2
+            np.maximum(q, 0.0, out=q)
+            np.log2(q, out=q)
+            q *= 0.5 * (m - 4)
+            log_w += q
+
+    w_max = float(np.maximum.reduce(log_w))
+    if w_max == -math.inf:
+        return -math.inf, math.inf
+    log_w -= w_max
+    np.maximum(log_w, -1000.0, out=log_w)
+    wt = np.exp2(log_w, out=log_w)
+    total_w = float(np.add.reduce(wt))
+    const = (
+        math.log2(w_len)
+        - math.log2(k)
+        + (m - 1) * math.log2(radius)
+        + geometry.log_sphere_area(m - 2, 1.0).log2_value
+    )
+    log2_est = const + w_max + math.log2(total_w)
+    if k == 1:
+        return log2_est, math.inf
+    mean = total_w / k
+    wt -= mean
+    wt *= wt
+    sd = math.sqrt(float(np.add.reduce(wt)) / (k - 1))
+    return log2_est, sd / (math.sqrt(k) * mean) / LN2
+
+
+def _isoperimetry_trials_frozen(target, angular, omega, radius, log2_v, log2_offset, cfg):
+    half_pi = math.pi / 2.0
+    m = angular.m
+    if m < 4:
+        raise DomainError(f"need m >= 4, got {m}")
+    theta = target.effective_theta
+    if not 0.0 < theta <= half_pi:
+        raise DomainError(f"effective angle must lie in (0, pi/2], got {theta}")
+    if not 0.0 < omega <= half_pi:
+        raise DomainError(f"omega must lie in (0, pi/2], got {omega}")
+    if theta + omega <= half_pi:
+        raise DomainError(
+            f"need theta + omega > pi/2, got {theta} + {omega} = {theta + omega}"
+        )
+    v_log2 = log2_v(theta)
+    log2_required = math.log2(1.0 - cfg.epsilon) + v_log2
+    beta = min(omega + cfg.slack, math.pi)
+
+    successes = 0
+    margins = []
+    for t in range(cfg.trials):
+        rng = montecarlo.trial_rng(cfg.seed, t)
+        y = rng.standard_normal(m)
+        log2_est, _ = estimate_cap_intersection_frozen(
+            angular, y[0] / np.linalg.norm(y), beta, cfg.samples_per_estimate, rng, radius
+        )
+        margin = log2_est + log2_offset - log2_required
+        margins.append(margin)
+        if margin > 0.0:
+            successes += 1
+    estimate = successes / cfg.trials
+    se = montecarlo._binomial_se(estimate, cfg.trials)
+    threshold = 1.0 - cfg.epsilon
+    finite = [x for x in margins if math.isfinite(x)]
+    return montecarlo.McReport(
+        estimate=estimate,
+        std_error=se,
+        n_used=cfg.trials,
+        threshold=threshold,
+        verdict=montecarlo._verdict(estimate, threshold, se, ">="),
+        seed=cfg.seed,
+        details={
+            "log2_required": log2_required,
+            "margin_bits_min": min(margins),
+            "margin_bits_median": float(np.median(finite)) if finite else -math.inf,
+            "successes": successes,
+            "m": m,
+            "theta": theta,
+            "omega": omega,
+            "beta": beta,
+            "log2_V": v_log2,
+        },
+    )
+
+
+def verify_isoperimetry_sphere_frozen(sphere_set, omega, cfg, n_scale=1.0):
+    m = sphere_set.m
+    return _isoperimetry_trials_frozen(
+        sphere_set,
+        sphere_set,
+        omega,
+        math.sqrt(m * n_scale),
+        lambda theta: geometry.log_cap_intersection(m, n_scale, theta, omega).log2_value,
+        0.0,
+        cfg,
+    )
+
+
+def verify_isoperimetry_shell_frozen(shell_set, omega, cfg):
+    def log2_v(theta):
+        bounds = geometry.log_shellcap_intersection_bounds(shell_set.spec, theta, omega)
+        return bounds.exact.log2_value
+
+    return _isoperimetry_trials_frozen(
+        shell_set,
+        shell_set.angular,
+        omega,
+        shell_set.base_radius,
+        log2_v,
+        shell_set.log2_radial_part(),
+        cfg,
+    )

@@ -37,6 +37,7 @@ from relaycap.geometry import (
 )
 
 from oracles import (
+    betainc_mpmath,
     lens_piece_log2_integrand_frozen,
     log2_cap_area_mpmath,
     log2_reg_inc_beta_frozen,
@@ -144,6 +145,46 @@ class TestRegIncBeta:
                 assert log2_reg_inc_beta(x, a, b) == pytest.approx(
                     math.log2(lin), abs=1e-10
                 )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(-2.0, 6.0).map(lambda e: 10.0**e),
+        m=st.integers(2, 10**6),
+        half=st.booleans(),
+        where=st.sampled_from(["any", "switch", "below switch", "above switch"]),
+        u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(a=1088.9086506914473, m=73, half=False, where="any", u=0.5019729558724252)
+    @example(a=596799.6494214116, m=61, half=False, where="any", u=0.9987642023117856)
+    def test_against_scipy_betainc(self, a, m, half, where, u):
+        # The shapes the package uses: b = 1/2 (caps) or (m - 1)/2 (bands).
+        # The continued fraction's front factor x^a (1 - x)^b / B(a, b) is
+        # formed from log terms as large as lgamma(a + b), so its relative
+        # error is a few ulps of their sum.  scipy is itself off in the deep
+        # tail (the examples: 22% at I ~ 1e-270, 1e-6 at I ~ 5e-269); where
+        # the two disagree, a 40-digit mpmath value decides.
+        b = 0.5 if half else (m - 1) / 2.0
+        switch = (a + 1.0) / (a + b + 2.0)
+        x = {
+            "any": u,
+            "switch": switch,
+            "below switch": math.nextafter(switch, 0.0),
+            "above switch": math.nextafter(switch, 1.0),
+        }[where]
+        assume(0.0 < x < 1.0)
+        ref = float(betainc(a, b, x))
+        assume(ref >= 2.2250738585072014e-308)  # scipy has no value below the normal range
+        scale = (
+            1.0 + abs(math.lgamma(a)) + abs(math.lgamma(b)) + abs(math.lgamma(a + b))
+            + abs(a * math.log(x)) + abs(b * math.log1p(-x))
+        )
+        rel = 64 * 2.0**-52 * scale
+        lin = reg_inc_beta(x, a, b)
+        log2 = log2_reg_inc_beta(x, a, b)
+        if not (abs(lin - ref) <= rel * ref and abs(log2 - math.log2(ref)) <= rel / math.log(2)):
+            ref = betainc_mpmath(a, b, x)
+        assert abs(lin - ref) <= rel * ref
+        assert abs(log2 - math.log2(ref)) <= rel / math.log(2)
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from relaycap import (
 from relaycap.geometry import _log2_sin_integral_zero_to, reg_inc_beta
 from relaycap.montecarlo import (
     HALF_PI,
+    _end_cosines,
     _log2_band_mass,
     _polar_cosines,
     _reachable_w_ranges,
@@ -38,11 +40,14 @@ from relaycap.montecarlo import (
 )
 
 from oracles import (
+    log2_interval_mass_mpmath,
     log2_set_mass_quadrature,
     log2_sin_power_integral,
     polar_angles,
     sample_uniform_cap,
     sample_uniform_sphere,
+    verify_isoperimetry_shell_frozen,
+    verify_isoperimetry_sphere_frozen,
 )
 
 deg = math.radians
@@ -214,6 +219,20 @@ class TestSphereSet:
         ("cap", 800, 75, 0.1, "0x1.154ebbbe67727p+0"),
         ("band", 100, 60, 1.0, "0x1.0c152383524e9p+0"),
     ]
+
+    @pytest.mark.parametrize("m", [7, 50, 1000])
+    @pytest.mark.parametrize("lo", [0.3, 1.0, 2.0])
+    def test_narrow_interval_mass_against_mpmath(self, m, lo):
+        # An interval on one side of the equator, from 1e-3 wide down to one
+        # ulp.  The log-difference of two caps cancelled here (3.5e-7
+        # relative off at width 1e-9, -inf at one ulp).  The error allowed
+        # is a few rounding errors of the log2 terms the mass is built from,
+        # (m - 2) log2 sin and the value itself.
+        for width in [10.0**-j for j in range(3, 16)] + [math.ulp(lo)]:
+            hi = lo + width
+            ref = log2_interval_mass_mpmath(m, lo, hi)
+            got = montecarlo._log2_interval_mass(m, lo, hi)
+            assert abs(got - ref) <= 8 * 2.0**-52 * (m + abs(ref)), (width, got, ref)
 
     @pytest.mark.parametrize("shape, m, theta_deg, frac, theta_hex", EFFECTIVE_PINNED)
     def test_effective_theta_bits_pinned(self, shape, m, theta_deg, frac, theta_hex):
@@ -447,7 +466,7 @@ class TestCosineCoordinates:
         den = np.array([max(math.sin(rho) * ca, 1e-300)])
         in_range = False
         for lo, hi in s.intervals:
-            a, length = _u_range(lo, hi, cc, den)
+            a, length = _u_range(_end_cosines(lo, hi), cc, den, np.empty(1), np.empty(1))
             a, length = float(np.asarray(a).item()), float(np.asarray(length).item())
             assert -1.0 <= a <= 1.0 and 0.0 <= length <= 2.0
             if length == 0.0:
@@ -564,6 +583,127 @@ class TestCosineCoordinates:
             assert math.isfinite(est)
         est, se = estimate_cap_intersection(s, 1.0, deg(50), 20_000, trial_rng(11, 0), 1.0)
         assert abs(est - log_cap_area(CapSpec(m, 1.0, deg(30))).log2_value) <= 4 * se
+
+
+def _state(rng):
+    """A generator's bit-generator state with arrays as lists, for ==."""
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+
+    return plain(rng.bit_generator.state)
+
+
+def _outcome(verify, *args):
+    """("report", bits of every field) or ("raise", type, message)."""
+    try:
+        rep = verify(*args)
+    except (DomainError, NumericalError) as exc:
+        return ("raise", type(exc), str(exc))
+
+    def bits(x):
+        return x.hex() if isinstance(x, float) else x
+
+    details = {k: bits(v) for k, v in rep.details.items()}
+    return ("report", bits(rep.estimate), bits(rep.std_error), rep.n_used,
+            bits(rep.threshold), rep.verdict, rep.seed, details)
+
+
+_SEEDS = st.one_of(
+    st.integers(0, 2**32), st.integers(2**64, 2**70), st.integers(-(2**70), -1)
+)
+
+
+@st.composite
+def _iso_case(draw):
+    """(verify, frozen verify, args) of one sphere or shell isoperimetry request."""
+    m = draw(st.integers(4, 1000))
+    shape = draw(st.sampled_from(["cap", "band", "twocaps", "intervals"]))
+    theta = draw(st.floats(deg(30), deg(89)))
+    if shape == "cap":
+        s = SphereSet.cap(m, theta)
+    elif shape == "band":
+        s = SphereSet.band_with_effective_angle(m, theta)
+    elif shape == "twocaps":
+        s = SphereSet.two_caps_with_effective_angle(m, theta)
+    else:
+        ends = sorted(draw(st.lists(st.floats(0.0, math.pi), min_size=2, max_size=6)))
+        ivs = [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi]
+        assume(ivs)
+        s = SphereSet(m, ivs)
+    shell = draw(st.booleans())
+    if shell:
+        s = ShellSet.extruded(ShellSpec(m, 1.0, 0.1), s, 0.0, draw(st.sampled_from([1.0, 0.1])))
+    # omega in (pi/2 - theta, pi/2] when theta <= pi/2, so most cases run
+    theta_eff = s.effective_theta
+    omega = HALF_PI - min(theta_eff, HALF_PI) * draw(st.floats(0.0, 0.95))
+    cfg = McConfig(
+        seed=draw(_SEEDS),
+        samples_per_estimate=draw(st.integers(1, 5000)),
+        trials=draw(st.integers(1, 30)),
+        epsilon=draw(st.floats(0.01, 0.5)),
+        angular_slack=draw(st.one_of(st.none(), st.floats(-0.5, math.pi))),
+    )
+    if shell:
+        return verify_isoperimetry_shell, verify_isoperimetry_shell_frozen, (s, omega, cfg)
+    return verify_isoperimetry_sphere, verify_isoperimetry_sphere_frozen, (s, omega, cfg)
+
+
+class TestTrialRoute:
+    """The trial loop against a frozen copy of its one-generator-per-trial route."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_SEEDS, trials=st.integers(1, 6), n=st.integers(0, 9))
+    def test_rekeyed_generator_is_a_fresh_stream(self, seed, trials, n):
+        for t, rng in enumerate(montecarlo._trial_streams(seed, trials)):
+            fresh = trial_rng(seed, t)
+            assert _state(rng) == _state(fresh)
+            assert np.array_equal(rng.standard_normal(n), fresh.standard_normal(n))
+            assert np.array_equal(rng.random(n), fresh.random(n))
+            # a 32-bit draw leaves half a word buffered, which the next
+            # re-key must drop
+            assert rng.integers(2**32, dtype=np.uint32) == fresh.integers(2**32, dtype=np.uint32)
+            assert _state(rng) == _state(fresh)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_iso_case())
+    def test_reports_equal_frozen_route(self, case):
+        verify, frozen, args = case
+        assert _outcome(verify, *args) == _outcome(frozen, *args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(4, 200),
+        seed=_SEEDS,
+        cut=st.floats(-0.2, 1.0),
+        shell=st.booleans(),
+    )
+    def test_numerical_error_at_the_same_trial(self, m, seed, cut, shell):
+        # No verifier input makes beta small enough for the estimator's
+        # NumericalError (theta + omega > pi/2 keeps beta above ~1e-32), so
+        # the ranges are computed at beta = 1e-200 for poles with cosine
+        # below `cut`, in both routes alike: the first such pole inside the
+        # set raises, and both routes must stop at the same trial.
+        s = SphereSet.cap(m, deg(89))  # about half of the poles lie inside
+        if shell:
+            s = ShellSet.extruded(ShellSpec(m, 1.0, 0.1), s)
+        cfg = McConfig(seed=seed, samples_per_estimate=50, trials=30, epsilon=0.1)
+        reach = montecarlo._reachable_w_ranges
+        outcomes = []
+        for verify in (
+            (verify_isoperimetry_shell, verify_isoperimetry_shell_frozen)
+            if shell else (verify_isoperimetry_sphere, verify_isoperimetry_sphere_frozen)
+        ):
+            poles = []
+
+            def shrunk(intervals, cy, beta):
+                poles.append(cy)
+                return reach(intervals, cy, 1e-200 if cy < cut else beta)
+
+            with mock.patch.object(montecarlo, "_reachable_w_ranges", shrunk):
+                outcomes.append((_outcome(verify, s, deg(35), cfg), poles))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestShellSet:
