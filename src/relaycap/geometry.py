@@ -260,7 +260,10 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
     Continued-fraction evaluation with the standard symmetry switch at
-    x = (a+1)/(a+b+2); relative accuracy ~1e-14 over the full domain.
+    x = (a+1)/(a+b+2).  The relative error grows with lgamma(a + b), since
+    the front factor is formed from lgamma terms of that size: against
+    40-digit mpmath it is ~3e-15 for a, b <= 10, ~1e-13 up to 100, ~1e-12 up
+    to 1e3, and 5.9e-10 at a = 596799.65, b = 30, x = 0.99876.
     """
     return _reg_inc_beta(x, _inc_beta_shape(a, b))
 

@@ -21,9 +21,12 @@ into log-domain weights, so no sample needs a trigonometric function.
 The estimator is unbiased and its calibration against the closed-form
 measures is part of the test suite.
 
-All randomness comes from counter-based Philox streams keyed by
-(seed, stream_index): trials are independent, reproducible bit-for-bit,
-and safe to evaluate in parallel with results reduced in trial order.
+All randomness of a request comes from one counter-based Philox
+generator, trial_rng(seed, 0).  Every verifier first draws the polar
+cosines of its n random points from their exact law (`_polar_cosines`);
+the isoperimetry verifiers then draw each trial's estimator uniforms from
+the same generator, in trial order.  Output is reproducible bit-for-bit
+from the seed.
 """
 
 from __future__ import annotations
@@ -49,37 +52,15 @@ from .geometry import (
 
 LN2 = math.log(2.0)
 HALF_PI = math.pi / 2.0
+# pi - fl(pi): intervals past the equator are mirrored at the true pi, so
+# that [lo, pi] keeps the sliver where sin^k is largest.
+_PI_LO = 1.2246467991473532e-16
 
 
 def trial_rng(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for (seed, stream); streams are disjoint."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _trial_streams(seed: int, trials: int):
-    """The generators trial_rng(seed, t) for t = 0, ..., trials - 1, in order.
-
-    One generator is made and re-keyed for each trial: its state is set to
-    that of a fresh trial_rng(seed, t), field for field (key (seed, t), zero
-    counter, empty buffer), so it draws the same numbers; a state write
-    costs ~1 us against ~20 us for a new Philox and Generator (x86_64,
-    numpy 2.4).  Every step yields the same object, so a stream ends where
-    the next one begins.
-    """
-    rng = trial_rng(seed, 0)
-    fresh = rng.bit_generator.state
-    key = fresh["state"]["key"].tolist()
-    # Plain ints, which the state setter reads faster than array elements.
-    state = {
-        **fresh,
-        "state": {"counter": fresh["state"]["counter"].tolist(), "key": key},
-        "buffer": fresh["buffer"].tolist(),
-    }
-    for t in range(trials):
-        key[1] = t
-        rng.bit_generator.state = state
-        yield rng
 
 
 def _polar_cosines(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -157,43 +138,50 @@ def _log2_band_mass(m: int, w: float) -> float:
 def _log2_interval_mass(m: int, lo: float, hi: float) -> float:
     """log2 of the sin^(m-2) mass of the polar interval [lo, hi].
 
-    An interval from a pole is a cap (mirrored at pi), and one across the
-    equator is two half-bands.  Any other lies on one side of the equator
-    and is the difference of two caps, mirrored onto [0, pi/2] so that
-    neither cap passes the equator, unless it holds less than half of the
-    larger cap: there the difference cancels, and a fixed rule is exact.
+    An interval from a pole is a cap, and one across the equator is two
+    half-bands.  Any other lies on one side of the equator and is the
+    difference of two caps, mirrored onto [0, pi/2] so that neither cap
+    passes the equator, unless it holds less than half of the larger cap:
+    there the difference cancels, and a fixed rule is exact.  Mirrors are
+    taken at the true pi, not at fl(pi).
     """
     k = m - 2
     if lo == 0.0:
         return _log2_sin_integral_zero_to(k, hi)
     if hi == math.pi:
-        return _log2_sin_integral_zero_to(k, math.pi - lo)
+        return _log2_sin_integral_zero_to(k, (math.pi - lo) + _PI_LO)
     if lo < HALF_PI < hi:
         return _logaddexp2(
             _log2_band_mass(m, HALF_PI - lo) - 1.0, _log2_band_mass(m, hi - HALF_PI) - 1.0
         )
-    cap_lo, cap_hi = (math.pi - hi, math.pi - lo) if lo >= HALF_PI else (lo, hi)
+    if lo >= HALF_PI:
+        cap_lo, cap_hi = (math.pi - hi) + _PI_LO, (math.pi - lo) + _PI_LO
+    else:
+        cap_lo, cap_hi = lo, hi
     mass = _log2_sin_integral_from_zero(k)
     outer = mass(cap_hi)
     rest = -math.expm1((mass(cap_lo) - outer) * LN2)
     if rest >= 0.5:
         return outer + math.log2(rest)
-    return _log2_sin_power_gauss(k, lo, hi)
+    # Here hi <= 2 lo, so hi - lo is exact; cap_hi - cap_lo may not be.
+    return _log2_sin_power_gauss(k, cap_lo, hi - lo)
 
 
-def _log2_sin_power_gauss(k: int, lo: float, hi: float) -> float:
-    """log2 of the integral of sin^k over [lo, hi], by a 12-point Gauss-Legendre rule.
+def _log2_sin_power_gauss(k: int, start: float, width: float) -> float:
+    """log2 of the integral of sin^k over [start, start + width], by 12-point Gauss-Legendre.
 
     For an interval on one side of the equator that holds less than half of
     the cap it closes, sin^k varies by less than a factor 2 over it (sin^k
     is log-concave), and as an entire function it is then integrated to
-    rounding by the fixed rule.  The nodes are shifted by their largest
-    log2 value, so nothing underflows; the ends are used as given, without
-    mirroring at the rounded pi.
+    rounding by the fixed rule.  The interval is given as start and width,
+    so that one mirrored at the true pi keeps its float width; nodes near
+    pi, placed at pi's spacing, would move sin^k by k ulp(pi) / (pi - x)
+    relative.  The nodes are shifted by their largest log2 value, so
+    nothing underflows.
     """
     nodes, weights = np.polynomial.legendre.leggauss(12)
-    half = 0.5 * (hi - lo)
-    log2_f = k * np.log2(np.sin(0.5 * (lo + hi) + half * nodes))
+    half = 0.5 * width
+    log2_f = k * np.log2(np.sin((start + half) + half * nodes))
     shift = float(log2_f.max())
     return shift + math.log2(half * float(weights @ np.exp2(log2_f - shift)))
 
@@ -208,7 +196,6 @@ class SphereSet:
 
     m: int
     intervals: tuple[tuple[float, float], ...]
-    label: str = "set"
 
     def __post_init__(self) -> None:
         if self.m < 2:
@@ -223,7 +210,7 @@ class SphereSet:
     def cap(cls, m: int, angle: float) -> "SphereSet":
         if not 0.0 < angle <= math.pi:
             raise DomainError(f"cap angle must lie in (0, pi], got {angle}")
-        return cls(m, ((0.0, angle),), "cap")
+        return cls(m, ((0.0, angle),))
 
     @classmethod
     def band(cls, m: int, center: float, half_width: float) -> "SphereSet":
@@ -231,7 +218,7 @@ class SphereSet:
             raise DomainError(f"band half-width must lie in (0, pi/2], got {half_width}")
         lo = max(0.0, center - half_width)
         hi = min(math.pi, center + half_width)
-        return cls(m, ((lo, hi),), "band")
+        return cls(m, ((lo, hi),))
 
     @classmethod
     def two_cap_union(cls, m: int, angle1: float, angle2: float) -> "SphereSet":
@@ -241,7 +228,7 @@ class SphereSet:
                 "two-cap union supports disjoint antipodal caps only: "
                 f"angle1 + angle2 = {angle1 + angle2} >= pi"
             )
-        return cls(m, ((0.0, angle1), (math.pi - angle2, math.pi)), "twocaps")
+        return cls(m, ((0.0, angle1), (math.pi - angle2, math.pi)))
 
     @classmethod
     def band_with_effective_angle(cls, m: int, theta: float) -> "SphereSet":
@@ -317,7 +304,6 @@ class ShellSet:
     angular: SphereSet
     r_lo: float
     r_hi: float
-    label: str = "shellset"
 
     def __post_init__(self) -> None:
         if self.angular.m != self.spec.m:
@@ -330,23 +316,14 @@ class ShellSet:
 
     @classmethod
     def extruded(
-        cls,
-        spec: ShellSpec,
-        angular: SphereSet,
-        frac_lo: float = 0.0,
-        frac_hi: float = 1.0,
-        label: str | None = None,
+        cls, spec: ShellSpec, angular: SphereSet, frac_lo: float = 0.0, frac_hi: float = 1.0
     ) -> "ShellSet":
         """Extrude an angular set over a fractional slice of the shell height."""
         if not 0.0 <= frac_lo < frac_hi <= 1.0:
             raise DomainError(f"need 0 <= frac_lo < frac_hi <= 1, got {frac_lo}, {frac_hi}")
         height = spec.r_upper - spec.r_lower
         return cls(
-            spec,
-            angular,
-            spec.r_lower + frac_lo * height,
-            spec.r_lower + frac_hi * height,
-            label or f"{angular.label}-extruded",
+            spec, angular, spec.r_lower + frac_lo * height, spec.r_lower + frac_hi * height
         )
 
     @property
@@ -667,15 +644,24 @@ class McReport:
     details: dict = field(default_factory=dict)
 
 
-def _verdict(estimate: float, threshold: float, se: float, passes_when: str) -> Verdict:
+def _report(
+    hits: int, n: int, threshold: float, passes_when: str, seed: int, details: dict
+) -> McReport:
+    """The report of `hits` successes in n draws, checked against threshold.
+
+    The estimate is the hit fraction, with its binomial standard error.  It
+    is inconclusive within 3 standard errors of the threshold, and passes
+    otherwise when `estimate passes_when threshold` holds (">=" or "<=").
+    """
+    estimate = hits / n
+    se = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / n)
     if abs(estimate - threshold) < 3.0 * se:
-        return Verdict.INCONCLUSIVE
-    ok = estimate >= threshold if passes_when == ">=" else estimate <= threshold
-    return Verdict.PASS if ok else Verdict.FAIL
-
-
-def _binomial_se(p_hat: float, n: int) -> float:
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+        verdict = Verdict.INCONCLUSIVE
+    elif estimate >= threshold if passes_when == ">=" else estimate <= threshold:
+        verdict = Verdict.PASS
+    else:
+        verdict = Verdict.FAIL
+    return McReport(estimate, se, n, threshold, verdict, seed, details)
 
 
 # ---------------------------------------------------------------------------
@@ -693,21 +679,12 @@ def verify_concentration(m: int, mu_cut: float, cfg: McConfig) -> McReport:
     cos1 = _polar_cosines(m, n, trial_rng(cfg.seed, 0))
     hits = int(np.count_nonzero(np.abs(cos1) >= mu_cut))
     one_sided_hits = int(np.count_nonzero(cos1 >= mu_cut))
-    estimate = hits / n
-    se = _binomial_se(estimate, n)
     # Chebyshev's 1/(m mu^2), capped at the vacuous 1; m mu^2 underflows to 0
     # for mu below ~1e-155, where the cap applies anyway.
     x = m * mu_cut * mu_cut
     threshold = 1.0 if x <= 1.0 else 1.0 / x
-    return McReport(
-        estimate=estimate,
-        std_error=se,
-        n_used=n,
-        threshold=threshold,
-        verdict=_verdict(estimate, threshold, se, "<="),
-        seed=cfg.seed,
-        details={"one_sided_estimate": one_sided_hits / n, "m": m, "mu": mu_cut},
-    )
+    details = {"one_sided_estimate": one_sided_hits / n, "m": m, "mu": mu_cut}
+    return _report(hits, n, threshold, "<=", cfg.seed, details)
 
 
 def verify_blowup(sphere_set: SphereSet, cfg: McConfig) -> McReport:
@@ -724,18 +701,8 @@ def verify_blowup(sphere_set: SphereSet, cfg: McConfig) -> McReport:
     n = cfg.samples_per_estimate
     polar = np.arccos(np.clip(_polar_cosines(m, n, trial_rng(cfg.seed, 0)), -1.0, 1.0))
     hits = int(np.count_nonzero(_contains_polar(expanded, polar)))
-    estimate = hits / n
-    se = _binomial_se(estimate, n)
-    threshold = 1.0 - epsilon
-    return McReport(
-        estimate=estimate,
-        std_error=se,
-        n_used=n,
-        threshold=threshold,
-        verdict=_verdict(estimate, threshold, se, ">="),
-        seed=cfg.seed,
-        details={"neighborhood_angle": t, "effective_theta": theta, "m": m},
-    )
+    details = {"neighborhood_angle": t, "effective_theta": theta, "m": m}
+    return _report(hits, n, 1.0 - epsilon, ">=", cfg.seed, details)
 
 
 def _isoperimetry_trials(
@@ -753,8 +720,9 @@ def _isoperimetry_trials(
     or a ShellSet) and `angular` the sphere set the estimator samples at
     `radius`.  `log2_v(theta)` gives log2 of the orthogonal-pole
     intersection volume V, and `log2_offset` is added to every estimate.
-    Per trial, a uniform Y is drawn, mu(angular intersect Cap(Y, omega +
-    slack)) is estimated with cfg.samples_per_estimate importance samples,
+    The cosines cy of all trials' uniform poles Y are drawn first; then, per
+    trial, mu(angular intersect Cap(Y, omega + slack)) is estimated with
+    cfg.samples_per_estimate importance samples from the same generator,
     and the trial succeeds when the estimate exceeds (1 - epsilon) V.  The
     report compares the success fraction with 1 - epsilon.
     """
@@ -776,45 +744,27 @@ def _isoperimetry_trials(
     _check_cap_angle(beta)
 
     estimator = _Estimator(angular, cfg.samples_per_estimate, radius)
-    y = np.empty(m)
-    successes = 0
+    rng = trial_rng(cfg.seed, 0)
+    cys = _polar_cosines(m, cfg.trials, rng)
     margins = []
     with np.errstate(divide="ignore"):
-        for rng in _trial_streams(cfg.seed, cfg.trials):
-            # Only y's cosine to e1 matters; all m coordinates are drawn because
-            # the estimator's draws follow them in the trial's stream, and seeded
-            # output depends on where they start.  y[0] / |y| as np.linalg.norm
-            # forms it.
-            rng.standard_normal(out=y)
-            cy = float(y[0]) / math.sqrt(float(y.dot(y)))
+        for cy in cys.tolist():
             log2_est, _, _ = estimator.estimate(cy, beta, lambda out: rng.random(out=out))
-            margin = log2_est + log2_offset - log2_required
-            margins.append(margin)
-            if margin > 0.0:
-                successes += 1
-    estimate = successes / cfg.trials
-    se = _binomial_se(estimate, cfg.trials)
-    threshold = 1.0 - cfg.epsilon
+            margins.append(log2_est + log2_offset - log2_required)
+    successes = sum(margin > 0.0 for margin in margins)
     finite = [x for x in margins if math.isfinite(x)]
-    return McReport(
-        estimate=estimate,
-        std_error=se,
-        n_used=cfg.trials,
-        threshold=threshold,
-        verdict=_verdict(estimate, threshold, se, ">="),
-        seed=cfg.seed,
-        details={
-            "log2_required": log2_required,
-            "margin_bits_min": min(margins),
-            "margin_bits_median": float(np.median(finite)) if finite else -math.inf,
-            "successes": successes,
-            "m": m,
-            "theta": theta,
-            "omega": omega,
-            "beta": beta,
-            "log2_V": v_log2,
-        },
-    )
+    details = {
+        "log2_required": log2_required,
+        "margin_bits_min": min(margins),
+        "margin_bits_median": float(np.median(finite)) if finite else -math.inf,
+        "successes": successes,
+        "m": m,
+        "theta": theta,
+        "omega": omega,
+        "beta": beta,
+        "log2_V": v_log2,
+    }
+    return _report(successes, cfg.trials, 1.0 - cfg.epsilon, ">=", cfg.seed, details)
 
 
 def verify_isoperimetry_sphere(

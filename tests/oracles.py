@@ -4,21 +4,20 @@ Nothing here is used by the package itself:
 
 - point samplers for the sphere and for caps, whose empirical laws check
   the estimator's coordinates and the cap-area ratios;
-- log-domain quadrature of the sin^k integrals behind every cap and set
-  mass, over `geometry._log2_quad` (the package's closed forms are checked
-  against it);
-- 40-digit mpmath cap areas and 50-digit masses of narrow polar
-  intervals;
+- log-domain quadrature of the sin^k integrals behind cap and band
+  masses, over `geometry._log2_quad` (the package's closed forms are
+  checked against it);
+- 40-digit mpmath cap areas and 50-digit masses of polar-interval sets;
 - a frozen copy of the incomplete beta and the lens-piece integrand as they
   were before the package built their constants once per shape: one
   continued fraction per call, its coefficients formed inside the loop.
   The package must return the same floats and raise the same errors;
 - a frozen copy of the isoperimetry trial route as it was before the loop
-  built its generator, constants and buffers once per request: a fresh
-  `trial_rng(seed, t)` per trial and a full `estimate_cap_intersection`
-  call (standard error included) on newly allocated arrays.  The
-  verifiers must report the same bits and raise the same errors at the
-  same trial.
+  built its constants and buffers once per request: one `trial_rng(seed,
+  0)`, from which every trial's pole cosine is drawn first, then a full
+  `estimate_cap_intersection` call (standard error included) per trial on
+  newly allocated arrays.  The verifiers must report the same bits and
+  raise the same errors at the same trial.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from relaycap.geometry import (
     _log2_cap_front,
     _log2_quad,
     _log2_sin_integral_zero_to,
-    _logaddexp2,
 )
 
 _POLAR_TABLE_NODES = 4096
@@ -150,14 +148,6 @@ def log2_sin_power_integral(k: int, lo: float, hi: float) -> float:
     return _log2_quad(g, lo, hi, min(max(math.pi / 2.0, lo), hi))
 
 
-def log2_set_mass_quadrature(m: int, intervals) -> float:
-    """log2 of the sin^(m-2) mass of disjoint polar intervals, by quadrature."""
-    total = -math.inf
-    for lo, hi in intervals:
-        total = _logaddexp2(total, log2_sin_power_integral(m - 2, lo, hi))
-    return total
-
-
 def log_cap_area_quadrature(spec: CapSpec) -> LogMeasure:
     """Cap area via log-domain quadrature of the sin^(m-2) integral."""
     value = _log2_cap_front(spec.m, spec.R) + log2_sin_power_integral(
@@ -182,23 +172,35 @@ def log2_cap_area_mpmath(m: int, R: float, theta: float) -> float:
         return float(mp.log(sphere * frac, 2))
 
 
-def log2_interval_mass_mpmath(m: int, lo: float, hi: float) -> float:
-    """log2 of the integral of sin^(m-2) over the float interval [lo, hi], at 50 digits.
+def log2_set_mass_mpmath(m: int, intervals) -> float:
+    """log2 of the integral of sin^(m-2) over disjoint float polar intervals, at 50 digits.
 
-    A difference of two caps through mpmath's regularized betainc, mirrored
-    at the exact pi when the interval lies past the equator; at 50 digits
-    the difference keeps ~34 of them even for an interval one ulp wide.
+    Each interval is split at pi/2 and each part is a difference of two caps
+    through mpmath's regularized betainc, the part past the equator mirrored
+    at the exact pi, so that no cap passes the equator.  At 50 digits the
+    difference keeps ~34 of them even for an interval one ulp wide; a plain
+    difference of caps from 0 across the equator loses them.
     """
     with mp.workdps(50):
         a = mp.mpf(m - 1) / 2
-        lo, hi = mp.mpf(lo), mp.mpf(hi)
-        if hi > mp.pi / 2:
-            lo, hi = mp.pi - hi, mp.pi - lo
+        half_pi = mp.pi / 2
 
         def cap(t):
             return mp.betainc(a, mp.mpf(1) / 2, 0, mp.sin(t) ** 2, regularized=True)
 
-        return float(mp.log(mp.beta(a, mp.mpf(1) / 2) / 2 * (cap(hi) - cap(lo)), 2))
+        total = mp.mpf(0)
+        for lo, hi in intervals:
+            lo, hi = mp.mpf(lo), mp.mpf(hi)
+            if lo < half_pi:
+                total += cap(min(hi, half_pi)) - cap(lo)
+            if hi > half_pi:
+                total += cap(mp.pi - max(lo, half_pi)) - cap(mp.pi - hi)
+        return float(mp.log(mp.beta(a, mp.mpf(1) / 2) / 2 * total, 2))
+
+
+def log2_interval_mass_mpmath(m: int, lo: float, hi: float) -> float:
+    """log2 of the integral of sin^(m-2) over the float interval [lo, hi], at 50 digits."""
+    return log2_set_mass_mpmath(m, ((lo, hi),))
 
 
 def betainc_mpmath(a: float, b: float, x: float) -> float:
@@ -429,28 +431,34 @@ def _isoperimetry_trials_frozen(target, angular, omega, radius, log2_v, log2_off
     log2_required = math.log2(1.0 - cfg.epsilon) + v_log2
     beta = min(omega + cfg.slack, math.pi)
 
+    rng = montecarlo.trial_rng(cfg.seed, 0)
+    # the pole cosines z / sqrt(z^2 + chi2_{m-1}) of all trials come first
+    z = rng.standard_normal(cfg.trials)
+    cys = z / np.sqrt(z * z + rng.chisquare(m - 1, cfg.trials))
     successes = 0
     margins = []
-    for t in range(cfg.trials):
-        rng = montecarlo.trial_rng(cfg.seed, t)
-        y = rng.standard_normal(m)
+    for cy in cys:
         log2_est, _ = estimate_cap_intersection_frozen(
-            angular, y[0] / np.linalg.norm(y), beta, cfg.samples_per_estimate, rng, radius
+            angular, cy, beta, cfg.samples_per_estimate, rng, radius
         )
         margin = log2_est + log2_offset - log2_required
         margins.append(margin)
         if margin > 0.0:
             successes += 1
     estimate = successes / cfg.trials
-    se = montecarlo._binomial_se(estimate, cfg.trials)
+    se = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / cfg.trials)
     threshold = 1.0 - cfg.epsilon
+    if abs(estimate - threshold) < 3.0 * se:
+        verdict = montecarlo.Verdict.INCONCLUSIVE
+    else:
+        verdict = montecarlo.Verdict.PASS if estimate >= threshold else montecarlo.Verdict.FAIL
     finite = [x for x in margins if math.isfinite(x)]
     return montecarlo.McReport(
         estimate=estimate,
         std_error=se,
         n_used=cfg.trials,
         threshold=threshold,
-        verdict=montecarlo._verdict(estimate, threshold, se, ">="),
+        verdict=verdict,
         seed=cfg.seed,
         details={
             "log2_required": log2_required,
