@@ -9,6 +9,8 @@ fail, 5 Monte Carlo inconclusive.
 
 Each command declares its flags once in build_parser and returns its
 record with one dict per output row; the dict's keys are the columns.
+A request is parsed by its own command's parser alone; other argv (help, an
+unknown command, options before the command words) go through the parser tree.
 """
 
 from __future__ import annotations
@@ -175,9 +177,12 @@ def _per_dim_gap(m: int, value: float, reference: float) -> float:
 def _geom_cap_area(args) -> tuple[dict, dict]:
     m, n = args.m, args.n_scale
     theta = _angle(args.theta, args)
-    if m < 3 or not n > 0:
-        raise DomainError(f"cap-area needs m >= 3 and n_scale > 0, got m={m}, n_scale={n}")
-    value = geometry.log_cap_area(geometry.CapSpec(m, math.sqrt(m * n), theta)).log2_value
+    if m < 3 or not 0 < n < math.inf:
+        raise DomainError(
+            f"cap-area needs m >= 3 and finite n_scale > 0, got m={m}, n_scale={n}")
+    # the product of roots only where m * n overflows, so other radii keep their bits
+    radius = math.sqrt(m * n) if m * n < math.inf else math.sqrt(m) * math.sqrt(n)
+    value = geometry.log_cap_area(geometry.CapSpec(m, radius, theta)).log2_value
     exponent = (m / 2.0) * (
         geometry.LOG2_2PIE + math.log2(n) + 2.0 * math.log2(math.sin(theta))
     )
@@ -356,13 +361,17 @@ def _optional(kind, default):
     return {"type": kind, "default": default}
 
 
-def _command(subparsers, name: str, func, flags: list, **kwargs) -> None:
-    """Add command `name` with `flags` ((option, add_argument keywords) pairs).
+# command words, such as ("gap",) or ("geom", "cap-area") -> that command's parser
+_LEAF_PARSERS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
+def _command(subparsers, words: tuple, func, flags: list, **kwargs) -> None:
+    """Add the command named `words` with `flags` ((option, add_argument keywords) pairs).
 
     Every command also takes --out and --format; --deg comes only with an
     angle flag.
     """
-    p = subparsers.add_parser(name, **kwargs)
+    p = subparsers.add_parser(words[-1], **kwargs)
     for option, options in flags:
         p.add_argument(option, **options)
     p.add_argument("--out", default=None, help="also write the record to this path")
@@ -371,6 +380,7 @@ def _command(subparsers, name: str, func, flags: list, **kwargs) -> None:
         p.add_argument("--deg", action="store_true",
                        help="interpret angle flags as degrees")
     p.set_defaults(func=func)
+    _LEAF_PARSERS[words] = p
 
 
 @functools.cache
@@ -387,14 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _command(sub, "bounds-sweep", _cmd_bounds_sweep, [
+    _command(sub, ("bounds-sweep",), _cmd_bounds_sweep, [
         ("--snr", {"type": float, "action": "append",
                    "help": "P/N (repeatable; default 0.1, 1, 10)"}),
         ("--c0-min", _optional(float, 0.05)),
         ("--c0-max", _optional(float, 3.0)),
         ("--c0-steps", _optional(int, 60)),
     ], help="evaluate bound curves on a C0 grid")
-    _command(sub, "gap", _cmd_gap, [
+    _command(sub, ("gap",), _cmd_gap, [
         ("--snr", _required(float)),
         ("--c0", _required(float)),
     ], help="strict-gap certificate below full cooperation")
@@ -406,15 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
     n_scale = ("--n-scale", _optional(float, 1.0))
     theta = ("--theta", _required(float))
     delta = ("--delta", _optional(float, 0.1))
-    _command(geom, "cap-area", _cmd_geom, [m, n_scale, theta])
-    _command(geom, "cap-intersect", _cmd_geom, [m, n_scale, theta,
-                                                ("--theta2", _required(float))])
-    _command(geom, "shell-cap", _cmd_geom, [m, n_scale, theta,
-                                            ("--omega", _optional(float, None)), delta])
-    _command(geom, "ball-intersect", _cmd_geom, [
+    _command(geom, ("geom", "cap-area"), _cmd_geom, [m, n_scale, theta])
+    _command(geom, ("geom", "cap-intersect"), _cmd_geom, [
+        m, n_scale, theta, ("--theta2", _required(float))])
+    _command(geom, ("geom", "shell-cap"), _cmd_geom, [
+        m, n_scale, theta, ("--omega", _optional(float, None)), delta])
+    _command(geom, ("geom", "ball-intersect"), _cmd_geom, [
         m, ("--r1", _required(float)), ("--r2", _required(float)), ("--d", _required(float)),
     ])
-    _command(geom, "exponent", _cmd_geom, [n_scale, theta, ("--omega", _required(float))])
+    _command(geom, ("geom", "exponent"), _cmd_geom, [
+        n_scale, theta, ("--omega", _required(float))])
 
     mc = sub.add_parser("mc", help="seeded Monte Carlo experiments").add_subparsers(
         dest="mc_command", required=True
@@ -432,10 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("--angular-slack", {**_optional(float, None),
                              "help": "override the angular slack (defaults to epsilon)"}),
     ]
-    _command(mc, "concentration", _cmd_mc, [*common, ("--mu", _required(float))])
-    _command(mc, "blowup", _cmd_mc, [*common, *sets])
-    _command(mc, "isoperimetry-sphere", _cmd_mc, [*common, *sets, *trials])
-    _command(mc, "isoperimetry-shell", _cmd_mc, [
+    _command(mc, ("mc", "concentration"), _cmd_mc, [*common, ("--mu", _required(float))])
+    _command(mc, ("mc", "blowup"), _cmd_mc, [*common, *sets])
+    _command(mc, ("mc", "isoperimetry-sphere"), _cmd_mc, [*common, *sets, *trials])
+    _command(mc, ("mc", "isoperimetry-shell"), _cmd_mc, [
         *common, *sets, *trials, n_scale, delta,
         ("--extrude-lo", _optional(float, 0.0)), ("--extrude-hi", _optional(float, 1.0)),
     ])
@@ -443,8 +454,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse argv with its command's own parser where it starts with command words.
+
+    The namespace starts as the parser tree leaves it for that parser, and
+    leftovers are reported by the root parser, as parse_args does.
+    """
+    parser = build_parser()
+    words = tuple(argv[:2]) if tuple(argv[:2]) in _LEAF_PARSERS else tuple(argv[:1])
+    if words not in _LEAF_PARSERS:
+        return parser.parse_args(argv)
+    ns = argparse.Namespace(command=words[0])
+    if len(words) == 2:
+        setattr(ns, f"{words[0]}_command", words[1])
+    args, extras = _LEAF_PARSERS[words].parse_known_args(argv[len(words):], ns)
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         record, code = args.func(args)
         _emit(record, args)

@@ -64,8 +64,8 @@ class CapSpec:
     def __post_init__(self) -> None:
         if self.m < 3:
             raise DomainError(f"cap dimension must satisfy m >= 3, got {self.m}")
-        if not self.R > 0:
-            raise DomainError(f"sphere radius must be > 0, got {self.R}")
+        if not 0 < self.R < math.inf:
+            raise DomainError(f"sphere radius must be finite and > 0, got {self.R}")
         if not 0.0 < self.theta <= math.pi:
             raise DomainError(f"cap angle must lie in (0, pi], got {self.theta}")
 
@@ -84,8 +84,8 @@ class ShellSpec:
     def __post_init__(self) -> None:
         if self.m < 3:
             raise DomainError(f"shell dimension must satisfy m >= 3, got {self.m}")
-        if not self.N > 0:
-            raise DomainError(f"shell scale N must be > 0, got {self.N}")
+        if not 0 < self.N < math.inf:
+            raise DomainError(f"shell scale N must be finite and > 0, got {self.N}")
         if not 0.0 <= self.delta < self.N:
             raise DomainError(
                 f"shell half-thickness must satisfy 0 <= delta < N, got delta={self.delta}"
@@ -93,11 +93,19 @@ class ShellSpec:
 
     @property
     def r_lower(self) -> float:
-        return math.sqrt(self.m * (self.N - self.delta))
+        return _radius(self.m, self.N - self.delta)
 
     @property
     def r_upper(self) -> float:
-        return math.sqrt(self.m * (self.N + self.delta))
+        return _radius(self.m, self.N + self.delta)
+
+
+def _radius(m: int, scale: float) -> float:
+    """sqrt(m * scale), the radius at squared-radius scale `scale` in R^m."""
+    r = math.sqrt(m * scale)
+    if r == math.inf:
+        raise NumericalError(f"radius sqrt(m * N) overflows float64 at m={m}, N={scale}")
+    return r
 
 
 @dataclass(frozen=True)
@@ -440,8 +448,8 @@ def cap_intersection_exponent(n_scale: float, theta: float, omega: float) -> flo
     the cap-cap and shell-cap intersection measures with orthogonal poles.
     Bit-identical under argument exchange (see _sin2_minus_cos2).
     """
-    if not n_scale > 0:
-        raise DomainError(f"scale must be > 0, got {n_scale}")
+    if not 0 < n_scale < math.inf:
+        raise DomainError(f"scale must be finite and > 0, got {n_scale}")
     if not (math.isfinite(theta) and math.isfinite(omega)):
         raise DomainError(f"angles must be finite, got theta={theta}, omega={omega}")
     d = _sin2_minus_cos2(theta, omega)
@@ -498,8 +506,8 @@ def log_cap_intersection(m: int, n_scale: float, theta1: float, theta2: float) -
     """
     if m < 4:
         raise DomainError(f"cap intersection needs m >= 4, got {m}")
-    if not n_scale > 0:
-        raise DomainError(f"scale must be > 0, got {n_scale}")
+    if not 0 < n_scale < math.inf:
+        raise DomainError(f"scale must be finite and > 0, got {n_scale}")
     for label, th in (("theta1", theta1), ("theta2", theta2)):
         if not 0.0 < th <= math.pi / 2.0:
             raise DomainError(f"{label} must lie in (0, pi/2], got {th}")
@@ -511,8 +519,14 @@ def log_cap_intersection(m: int, n_scale: float, theta1: float, theta2: float) -
         )
     near_degenerate = gap <= 1e-6
 
-    # Radius sqrt(m * n_scale) enters through (pi m N)^((m-1)/2) in the front.
-    log2_front = ((m - 1) / 2.0) * math.log2(math.pi * m * n_scale) - _log2_gamma((m - 1) / 2.0)
+    # Radius sqrt(m * n_scale) enters through (pi m N)^((m-1)/2) in the front;
+    # its log is taken as a sum only where the product overflows.
+    scale = math.pi * m * n_scale
+    if scale < math.inf:
+        log2_scale = math.log2(scale)
+    else:
+        log2_scale = math.log2(math.pi * m) + math.log2(n_scale)
+    log2_front = ((m - 1) / 2.0) * log2_scale - _log2_gamma((m - 1) / 2.0)
     phi = math.atan2(math.cos(theta1), math.cos(theta2))
 
     def piece(phi_ref: float, theta_cap: float) -> float:
@@ -593,8 +607,8 @@ def log_shellcap_intersection_bounds(
     carry no finite-m correction, so at small m the exact value can sit
     below the lower exponent; tests record the empirical slack.
     """
+    base_R = _radius(spec.m, spec.N)
     base = log_cap_intersection(spec.m, spec.N, theta, omega)
-    base_R = math.sqrt(spec.m * spec.N)
     radial = _log2_radial_integral(spec.m, base_R, spec.r_lower, spec.r_upper)
     exact = LogMeasure(base.log2_value + radial, MeasureKind.VOLUME, base.near_degenerate)
     d = _sin2_minus_cos2(theta, omega)

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from relaycap import montecarlo
+from relaycap import cli, montecarlo
 from relaycap.cli import (
     EXIT_MC_FAIL,
     EXIT_MC_INCONCLUSIVE,
@@ -433,6 +434,46 @@ class TestExitCodes:
         assert "invalid input" in err
 
 
+class TestNScale:
+    """A non-finite --n-scale exits 2; a finite one whose m * N overflows
+    float64 gives finite rows or exits 3, never non-finite rows at exit 0."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["geom", "cap-area", "--m", "50", "--theta", "1", "--n-scale", "inf"], EXIT_USAGE),
+        (["geom", "cap-intersect", "--m", "50", "--theta", "1.2", "--theta2", "0.7",
+          "--n-scale", "inf"], EXIT_USAGE),
+        (["geom", "shell-cap", "--m", "50", "--theta", "1.2", "--omega", "0.7",
+          "--n-scale", "inf"], EXIT_USAGE),
+        (["geom", "exponent", "--theta", "1.2", "--omega", "0.7", "--n-scale", "inf"],
+         EXIT_USAGE),
+        (["geom", "cap-area", "--m", "50", "--theta", "1", "--n-scale", "1e308"], EXIT_OK),
+        (["geom", "cap-intersect", "--m", "50", "--theta", "1.2", "--theta2", "0.7",
+          "--n-scale", "1e308"], EXIT_OK),
+        (["geom", "shell-cap", "--m", "50", "--theta", "1.2", "--omega", "0.7",
+          "--n-scale", "1e308"], EXIT_NUMERICAL),
+    ], ids=["cap-area inf", "cap-intersect inf", "shell-cap --omega inf", "exponent inf",
+            "cap-area 1e308", "cap-intersect 1e308", "shell-cap --omega 1e308"])
+    def test_no_non_finite_rows(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected, err
+        if code != EXIT_OK:
+            assert not out
+        for row in json.loads(out or '{"rows": []}')["rows"]:
+            assert all(math.isfinite(v) for v in row.values()), row
+
+    @pytest.mark.parametrize("query", [["cap-area", "--theta", "1"],
+                                       ["cap-intersect", "--theta", "1.2", "--theta2", "0.7"]])
+    def test_overflowing_scale_shifts_measure(self, capsys, query):
+        # the measure scales as R^(m-1) = (m N)^((m-1)/2)
+        def measure(n_scale):
+            code, out, err = run_cli(capsys, "geom", *query, "--m", "50", "--n-scale", n_scale)
+            assert code == EXIT_OK, err
+            return json.loads(out)["rows"][0]["log2_measure"]
+
+        shift = (49 / 2.0) * math.log2(1e308)
+        assert measure("1e308") == pytest.approx(measure("1") + shift, rel=1e-12)
+
+
 _OUTPUT = {"--out", "--format"}
 _M_SCALE_THETA = {"--m", "--n-scale", "--theta", "--deg"}
 _MC = {"--m", "--seed", "--samples"}
@@ -537,6 +578,113 @@ class TestParserReuse:
         fresh = subprocess.run([sys.executable, "-m", "relaycap", *argv],
                                capture_output=True, env=env, check=True)
         assert out.encode() == fresh.stdout
+
+
+# One valid request per leaf command: (command words, its flags).
+LEAF_REQUESTS = {
+    "bounds-sweep": (["bounds-sweep"], [["--snr", "1"], ["--c0-min", "0.5"], ["--c0-max", "1"],
+                                        ["--c0-steps", "2"], ["--format", "csv"]]),
+    "gap": (["gap"], [["--snr", "1"], ["--c0", "1"]]),
+    "geom cap-area": (["geom", "cap-area"], [["--m", "100"], ["--theta", "70"], ["--deg"],
+                                             ["--n-scale", "2"]]),
+    "geom cap-intersect": (["geom", "cap-intersect"], [["--m", "100"], ["--theta", "1.2"],
+                                                       ["--theta2", "0.7"]]),
+    "geom shell-cap": (["geom", "shell-cap"], [["--m", "100"], ["--theta", "1.2"],
+                                               ["--delta", "0.2"]]),
+    "geom ball-intersect": (["geom", "ball-intersect"], [["--m", "100"], ["--r1", "1"],
+                                                         ["--r2", "1"], ["--d", "1"]]),
+    "geom exponent": (["geom", "exponent"], [["--theta", "1.2"], ["--omega", "0.7"],
+                                             ["--n-scale", "2"]]),
+    "mc concentration": (["mc", "concentration"], [["--m", "50"], ["--mu", "0.5"],
+                                                   ["--samples", "1000"], ["--seed", "1"]]),
+    "mc blowup": (["mc", "blowup"], [["--m", "100"], ["--set", "band"], ["--theta", "70"],
+                                     ["--deg"], ["--epsilon", "0.3"], ["--samples", "1000"],
+                                     ["--seed", "1"]]),
+    "mc isoperimetry-sphere": (["mc", "isoperimetry-sphere"], [
+        ["--m", "100"], ["--set", "twocaps"], ["--theta", "70"], ["--omega", "35"], ["--deg"],
+        ["--trials", "5"], ["--samples", "500"], ["--seed", "1"]]),
+    "mc isoperimetry-shell": (["mc", "isoperimetry-shell"], [
+        ["--m", "100"], ["--set", "band"], ["--theta", "70"], ["--omega", "35"], ["--deg"],
+        ["--trials", "5"], ["--samples", "500"], ["--seed", "1"], ["--delta", "0.1"]]),
+}
+
+
+def _leaf_argv(command: str, seed: int) -> list:
+    """The command's request with its flags in an order drawn from `seed`."""
+    words, flags = LEAF_REQUESTS[command]
+    flags = list(flags)
+    random.Random(seed).shuffle(flags)
+    return [*words, *(token for flag in flags for token in flag)]
+
+
+_GAP = ["gap", "--snr", "1", "--c0", "1"]
+# argv the dispatch must treat exactly as the parser tree does
+DISPATCH_CORPUS = [
+    *(_leaf_argv(command, seed) for command in LEAF_REQUESTS for seed in (1, 2)),
+    # help at each level, no argv, unknown commands
+    ["-h"], ["geom", "-h"], ["mc", "--help"], ["geom", "cap-area", "-h"], ["gap", "-h"],
+    [], ["geom"], ["bogus"], ["geom", "bogus", "--theta", "1"], ["mc", "cap-area"],
+    # options before the command words
+    ["--format", "csv", *_GAP], ["-h", *_GAP], ["geom", "--m", "5", "cap-area", "--theta", "1"],
+    # unknown, removed, abbreviated and ambiguous flags, and stray words
+    [*_GAP, "--bogus"], [*_GAP, "extra", "--x", "1"], ["gap", "--bogus", "1", "--c0", "1"],
+    ["bounds-sweep", "--c0-steps", "1", "--tol", "1e-7"],
+    ["mc", "isoperimetry-sphere", "--m", "50", "--theta", "1", "--omega", "1", "--trials", "2",
+     "--samples", "100", "--radial-law", "uniform"],
+    ["gap", "--sn", "1", "--c0", "1"], ["bounds-sweep", "--c0", "1"],
+    ["geom", "cap-area", "--theta", "1", "--he"],
+    # bad values, a missing flag, a repeated flag, "--" and "=" forms
+    ["gap", "--snr", "x", "--c0", "1"], ["geom", "cap-area", "--theta", "1", "--m", "4.5"],
+    ["mc", "blowup", "--m", "50", "--theta", "1", "--set", "ring"],
+    ["gap", "--snr", "1"], ["mc", "concentration", "--mu", "0.1"],
+    ["gap", "--snr", "1", "--snr", "2", "--c0", "1"],
+    [*_GAP, "--"], ["gap", "--", "--snr", "1", "--c0", "1"], ["--", *_GAP],
+    ["geom", "--", "cap-area", "--theta", "1"], ["gap", "--snr=1", "--c0=1", "--format=csv"],
+    # a valid parse whose command then fails
+    ["gap", "--snr", "1", "--c0", "-1"],
+]
+
+
+def _outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestDispatch:
+    """main parses a request with its command's own parser; every outcome
+    must equal that of the parser tree (build_parser().parse_args)."""
+
+    @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+    def test_same_bytes_as_parser_tree(self, capsys, monkeypatch, argv):
+        direct = _outcome(capsys, list(argv))
+        monkeypatch.setattr(cli, "_parse", lambda args: build_parser().parse_args(args))
+        assert direct == _outcome(capsys, list(argv))
+
+    @pytest.mark.parametrize("command", LEAF_REQUESTS)
+    def test_same_namespace_as_parser_tree(self, command):
+        argv = _leaf_argv(command, 3)
+        assert cli._parse(argv) == build_parser().parse_args(argv)
+
+    def test_leaf_commands_skip_the_parser_tree(self, capsys, monkeypatch):
+        def tree_parse(*args, **kwargs):
+            raise AssertionError("request went through the parser tree")
+
+        monkeypatch.setattr(build_parser(), "parse_args", tree_parse)
+        for command in LEAF_REQUESTS:
+            code, out, err = _outcome(capsys, _leaf_argv(command, 4))
+            assert code == EXIT_OK, (command, err)
+            assert out and not err
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["relaycap", *_GAP])
+        assert main() == EXIT_OK
+        implicit = capsys.readouterr()
+        assert (main(list(_GAP)), *capsys.readouterr()) == (EXIT_OK, *implicit)
 
 
 _IMPORT_PROBE = """
