@@ -14,11 +14,11 @@ stays strictly below the full-cooperation capacity at every finite C0, and
 gap_certificate produces an explicit positive margin for that strictness.
 
 Everything is evaluated in float64 from closed forms: the inner minimum
-over omega is the smaller root of a quadratic in cos(omega), the outer sup
-is the crossing of an increasing and a nonincreasing function of theta
-(found by a bracketed root-find), and the certificate bisects a
-log1p-form finite difference.  No search is stochastic, so sweeps are
-exactly reproducible.
+over omega is the smaller root of a quadratic in cos(omega), and the outer
+sup is 1/2 log2(1 + P (1 - c*) / (P + N)) with c* = P / ((P + N)(4^C0 - 1)
++ P), below C(inf) - C(0) exactly when c* > 0, i.e. at every finite C0.
+The certificate bisects a log1p-form finite difference.  No search is
+stochastic, so sweeps are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import DomainError, InvalidInput, NumericalError
 LN2 = math.log(2.0)
 HALF_PI = math.pi / 2.0
 _EPS = sys.float_info.epsilon
-_BRENT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -104,76 +103,27 @@ def conditional_entropy_bound(params: ChannelParams, theta: float, omega: float)
     return entropy_difference_bound(params, theta, omega) - math.log2(math.sin(theta))
 
 
-def _inner_min(P: float, N: float, theta: float) -> tuple[float, float]:
-    """(1 - c*, k*) for the kernel's minimum over omega at this theta.
+def _outer_sup(P: float, N: float, c0: float) -> float:
+    """The bound's sup over theta of min{C0 + log2 sin(theta), k*(theta)}, in bits.
 
-    With c = cos(omega) the minimizer c* is the smaller root of
-    P c^2 - (2P + N cos^2 theta) c + P sin^2 theta = 0.  Both 1 - c* and
-    q = c*/sin(theta) < tan(theta/2) come from rationalized forms of the
-    root, free of cancellation.
+    With c = cos(omega) the kernel's minimum over omega sits at the smaller
+    root c of P c^2 - (2P + N cos^2 theta) c + P sin^2 theta = 0, where
+    sin^2 theta - c^2 = c (1 - c)(2P + N + N c) / (P + N c), so
+    k* = 1/2 log2(sin^2 theta (P + N c) / ((P + N) c)).  C0 + log2 sin(theta)
+    increases in theta and k* does not, so the sup sits at their crossing,
+    which is linear in c:  4^C0 (P + N) c = P + N c, i.e.
+    c* = P / ((P + N)(4^C0 - 1) + P).  There the sup is
+    1/2 log2(1 + P (1 - c*) / (P + N)), below C(inf) - C(0) exactly when
+    c* > 0, i.e. at every finite C0.  P (1 - c*) / (P + N) is formed as
+    P / (P + N + P / (4^C0 - 1)), free of cancellation at either end.
     """
-    s, co = math.sin(theta), math.cos(theta)
-    r = math.sqrt(4.0 * P * (P + N) + (N * co) ** 2)
-    den = 2.0 * P + N * co * co + co * r
-    one_minus_c = co * ((2.0 * P + N) * co + r) / den
-    q = 2.0 * P * s / den
-    return one_minus_c, _kernel_cos(P, N, s, co, q * s, one_minus_c)
-
-
-def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float,
-            xtol: float, rtol: float) -> float:
-    """Root of f on [xpre, xcur] by Brent's method, given f there.
-
-    fpre = f(xpre) and fcur = f(xcur) must be nonzero and of opposite
-    sign.  A step-for-step port of scipy's Zeros/brentq.c, so it returns
-    the same float as scipy.optimize.brentq(f, xpre, xcur, xtol, rtol)
-    without importing scipy.optimize.  xblk is the point that brackets the
-    root with xcur; the step is secant or inverse-quadratic when that is
-    short enough and bisection otherwise, and never shorter than delta.
-    Raises NumericalError after _BRENT_MAX_ITER steps, where scipy raises
-    RuntimeError.
-    """
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        # brentq.c also requires both nonzero; only a new fcur can be zero,
-        # and then xcur is returned below whichever way this test goes
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise NumericalError(
-        f"Brent root-find did not converge in {_BRENT_MAX_ITER} steps on [{xpre}, {xcur}]"
-    )
+    try:
+        e = math.expm1(2.0 * c0 * LN2)
+    except OverflowError:
+        # 4^C0 beyond float64 (C0 > 512): c* < 2^-1024 moves no bit of the
+        # sup, which is C(inf) - C(0)
+        e = math.inf
+    return 0.5 * math.log1p(P / (P + N + P / e) if e else 0.0) / LN2
 
 
 # ---------------------------------------------------------------------------
@@ -191,47 +141,25 @@ def cutset_bound(params: ChannelParams, c0: float) -> float:
 def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
     """Geometric capacity upper bound at finite C0.
 
-    The first term C0 + log2 sin(theta) increases in theta and the inner
-    minimum k*(theta) does not, so the sup of their min over
-    [arcsin 2^-C0, pi/2] sits at their crossing.  Since 0 <= k* <= k*(theta0),
-    the crossing lies where sin(theta) <= 2^(k*(theta0) - C0); _brentq finds
-    it to a relative tolerance, and max(first, k*) at the root bounds the
-    sup from above whichever side of the crossing the root landed on.  The
-    sum is rounded up by a bound on its float evaluation error and then
-    clamped: below by C(0), above by the cut-set bound (log2 sin <= 0) and
-    by the certified bound, which keeps the result strictly below C(inf)
-    even where the true gap is smaller than the kernel's float evaluation
-    noise (e.g. SNR ~ 1e-4 with C0 ~ 15).  Last, it is raised to
+    C(0) plus the closed-form sup (_outer_sup), rounded up by a bound on
+    its float evaluation error and then clamped: below by C(0), above by
+    the cut-set bound and by the certified bound, which keeps the result
+    strictly below C(inf) even where the true gap is smaller than the sum's
+    rounding (e.g. SNR ~ 1e-4 with C0 ~ 15).  Last, it is raised to
     compress_forward_rate, so the float values keep the true order
-    cf_rate <= bound <= cut-set at every input.
+    cf_rate <= bound <= cut-set at every input.  Every finite C0 >= 0 gives
+    a value.
     """
     if math.isinf(c0):
         raise InvalidInput("capacity_upper_bound requires finite C0; use "
                            "capacity_full_cooperation for the C0 = inf asymptote")
     if c0 < 0 or math.isnan(c0):
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
-    theta0 = math.asin(2.0 ** (-c0))
-    if theta0 <= 0.0:
-        raise DomainError(f"C0 = {c0} underflows arcsin(2^-C0) to zero")
-    P, N = params.P, params.N
-
-    def excess(theta: float) -> float:
-        return c0 + math.log2(math.sin(theta)) - _inner_min(P, N, theta)[1]
-
-    lo, hi = theta0, math.asin(min(1.0, 2.0 ** (_inner_min(P, N, theta0)[1] - c0)))
-    f_lo = excess(lo)
-    if f_lo >= 0.0:
-        root = lo
-    elif (f_hi := excess(hi)) <= 0.0:
-        root = hi
-    else:
-        # near theta0 = arcsin 2^-C0 only a relative tolerance resolves theta
-        root = _brentq(excess, lo, hi, f_lo, f_hi, xtol=sys.float_info.min, rtol=4.0 * _EPS)
-    best = max(c0 + math.log2(math.sin(root)), _inner_min(P, N, root)[1])
-
+    best = _outer_sup(params.P, params.N, c0)
     c_no_relay = capacity_no_relay(params)
-    # k* (at most 1/2) is good to ~3 eps; the first term and the sum carry a
-    # few ulp of C0 and C(0)
+    # the sup (at most 1/2) is good to a few eps, plus c* times the ~1.4 C0
+    # eps relative error that expm1's rounded argument puts on 4^C0 - 1; the
+    # sum carries an ulp of C(0)
     value = c_no_relay + best + 8.0 * _EPS * (1.0 + c0 + c_no_relay)
     value = max(min(value, cutset_bound(params, c0)), c_no_relay)
     try:

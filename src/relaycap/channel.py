@@ -50,7 +50,8 @@ def capacity_full_cooperation(params: ChannelParams) -> float:
 def cutset_c0_threshold(params: ChannelParams) -> float:
     """Smallest C0 at which the cut-set bound saturates at C(inf).
 
-    Equals C(inf) - C(0) exactly; the classical lower bound on the pipe
-    rate needed to reach full cooperation.
+    Equals C(inf) - C(0) = 1/2 log2(1 + P/(P+N)), in log1p form so it does
+    not cancel at low SNR; the classical lower bound on the pipe rate needed
+    to reach full cooperation.
     """
-    return capacity_full_cooperation(params) - capacity_no_relay(params)
+    return 0.5 * math.log1p(params.P / (params.P + params.N)) / math.log(2.0)

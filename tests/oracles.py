@@ -17,19 +17,25 @@ Nothing here is used by the package itself:
   0)`, from which every trial's pole cosine is drawn first, then a full
   `estimate_cap_intersection` call (standard error included) per trial on
   newly allocated arrays.  The verifiers must report the same bits and
-  raise the same errors at the same trial.
+  raise the same errors at the same trial;
+- the kernel's float minimum over omega at one theta, and the bound's sup
+  as the package found it before the closed form: scipy's `brentq` for the
+  crossing of C0 + log2 sin(theta) and that minimum.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+import scipy.optimize
 from scipy.interpolate import PchipInterpolator
 
 from relaycap import geometry, montecarlo
+from relaycap.bounds import _kernel_cos
 from relaycap.errors import DomainError, NumericalError
 from relaycap.geometry import (
     LN2,
@@ -501,3 +507,44 @@ def verify_isoperimetry_shell_frozen(shell_set, omega, cfg):
         shell_set.log2_radial_part(),
         cfg,
     )
+
+
+def inner_min(P: float, N: float, theta: float) -> tuple[float, float]:
+    """(1 - c*, k*) for the kernel's minimum over omega at this theta.
+
+    With c = cos(omega) the minimizer c* is the smaller root of
+    P c^2 - (2P + N cos^2 theta) c + P sin^2 theta = 0.  Both 1 - c* and
+    q = c*/sin(theta) < tan(theta/2) come from rationalized forms of the
+    root, free of cancellation.
+    """
+    s, co = math.sin(theta), math.cos(theta)
+    r = math.sqrt(4.0 * P * (P + N) + (N * co) ** 2)
+    den = 2.0 * P + N * co * co + co * r
+    one_minus_c = co * ((2.0 * P + N) * co + r) / den
+    q = 2.0 * P * s / den
+    return one_minus_c, _kernel_cos(P, N, s, co, q * s, one_minus_c)
+
+
+def brent_sup(P: float, N: float, c0: float) -> float:
+    """The bound's sup over theta in [arcsin 2^-C0, pi/2], by a root-find.
+
+    C0 + log2 sin(theta) increases in theta and k*(theta) does not, and
+    0 <= k* <= k*(theta0), so their crossing lies where
+    sin(theta) <= 2^(k*(theta0) - C0).  brentq finds it to a relative
+    tolerance, and max(first, k*) at the root bounds the sup from above
+    whichever side of the crossing the root landed on.
+    """
+    theta0 = math.asin(2.0 ** (-c0))
+
+    def excess(theta: float) -> float:
+        return c0 + math.log2(math.sin(theta)) - inner_min(P, N, theta)[1]
+
+    lo, hi = theta0, math.asin(min(1.0, 2.0 ** (inner_min(P, N, theta0)[1] - c0)))
+    if excess(lo) >= 0.0:
+        root = lo
+    elif excess(hi) <= 0.0:
+        root = hi
+    else:
+        root = scipy.optimize.brentq(excess, lo, hi, xtol=sys.float_info.min,
+                                     rtol=4.0 * sys.float_info.epsilon)
+    return max(c0 + math.log2(math.sin(root)), inner_min(P, N, root)[1])

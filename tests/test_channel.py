@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from relaycap import (
     capacity_no_relay,
     cutset_c0_threshold,
 )
+
+EPS = sys.float_info.epsilon
 
 
 class TestChannelParams:
@@ -66,6 +70,16 @@ class TestCapacities:
                 capacity_full_cooperation(p) - capacity_no_relay(p)
             )
             assert abs(diff) <= 1e-15
+
+    @pytest.mark.parametrize("log10_snr", range(-12, 7))
+    def test_threshold_against_mpmath(self, log10_snr):
+        # C(inf) - C(0) cancels at low SNR (1e-4 relative at SNR 1e-12);
+        # 1/2 log2((2P + N)/(P + N)) at 40 digits does not
+        p = ChannelParams.from_snr(10.0 ** log10_snr)
+        with mp.workdps(40):
+            P, N = mp.mpf(p.P), mp.mpf(p.N)
+            ref = mp.log((2 * P + N) / (P + N), 2) / 2
+            assert abs(cutset_c0_threshold(p) - ref) <= 4 * EPS * ref
 
     def test_monotone_in_power_and_noise(self):
         powers = np.linspace(0.1, 20.0, 25)

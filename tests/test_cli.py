@@ -85,10 +85,11 @@ class TestBoundsSweep:
         assert "0.7" in err
 
 
-    @pytest.mark.parametrize("c0", ["40", "600"])
+    @pytest.mark.parametrize("c0", ["40", "600", "1100", "1e300"])
     def test_large_c0_point_finite(self, capsys, c0):
         # 40 used to hit a math domain error in the omega search; at 600
-        # sin^2(theta0) underflows, which the closed form must not divide by
+        # sin^2(theta0) underflows, which the closed form must not divide by;
+        # from ~1075 on 2^-C0 itself underflows, which the sup never forms
         code, out, err = run_cli(
             capsys, "bounds-sweep", "--c0-min", c0, "--c0-steps", "1",
         )
