@@ -28,7 +28,9 @@ LOG2_PI = math.log2(math.pi)
 LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 LOG2_PIE = math.log2(math.pi * math.e)
 
-_BETA_MAX_ITER = 500
+# Lentz's iteration count near the switch point grows like sqrt(max(a, b)):
+# 516 at a = 1e6, b = 499997 (500 did not suffice), ~5300 at a = b = 1e8.
+_BETA_MAX_ITER = 1000
 _BETA_EPS = 1e-15
 _FPMIN = 1e-300
 

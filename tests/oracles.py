@@ -215,7 +215,7 @@ def betainc_mpmath(a: float, b: float, x: float) -> float:
         return float(mp.betainc(mp.mpf(a), mp.mpf(b), 0, mp.mpf(x), regularized=True))
 
 
-_BETA_MAX_ITER = 500
+_BETA_MAX_ITER = 1000  # the package's cap, so both raise on the same shapes
 _BETA_EPS = 1e-15
 _FPMIN = 1e-300
 

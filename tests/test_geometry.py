@@ -156,6 +156,7 @@ class TestRegIncBeta:
     )
     @example(a=1088.9086506914473, m=73, half=False, where="any", u=0.5019729558724252)
     @example(a=596799.6494214116, m=61, half=False, where="any", u=0.9987642023117856)
+    @example(a=1e6, m=999995, half=False, where="below switch", u=0.5)
     def test_against_scipy_betainc(self, a, m, half, where, u):
         # The shapes the package uses: b = 1/2 (caps) or (m - 1)/2 (bands).
         # The continued fraction's front factor x^a (1 - x)^b / B(a, b) is
