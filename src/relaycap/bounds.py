@@ -149,6 +149,11 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
     compress_forward_rate, so the float values keep the true order
     cf_rate <= bound <= cut-set at every input.  Every finite C0 >= 0 gives
     a value.
+
+    The certificate's bisection runs only where one evaluation of its step
+    condition cannot rule the clamp out (_certificate_may_bind): away from
+    that, the certified bound is provably >= the value, so the min would
+    return the value unchanged and skipping it moves no bit.
     """
     if math.isinf(c0):
         raise InvalidInput("capacity_upper_bound requires finite C0; use "
@@ -162,15 +167,73 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
     # sum carries an ulp of C(0)
     value = c_no_relay + best + 8.0 * _EPS * (1.0 + c0 + c_no_relay)
     value = max(min(value, cutset_bound(params, c0)), c_no_relay)
-    try:
-        value = min(value, gap_certificate(params, c0).certified_bound)
-    except NumericalError:
-        # certificate step below float64 range (C0 in the hundreds)
-        pass
+    if _certificate_may_bind(params, c0, value):
+        try:
+            value = min(value, gap_certificate(params, c0).certified_bound)
+        except NumericalError:
+            # certificate step below float64 range (C0 in the hundreds)
+            pass
     # the capacity is at least the compress-and-forward rate; where the true
     # gap between them is below the rounding of either, the float rate can
     # land above the clamped bound (e.g. SNR 10^-3.859375, C0 = 19.5)
     return max(value, compress_forward_rate(params, c0))
+
+
+def _step_condition(delta: float, sin0: float, rho: float, deriv: float) -> bool:
+    """Whether the certificate accepts the backward step delta.
+
+    With c = sin(delta), sin0 = sin(theta0) and rho = N / (2P + N), the
+    kernel's finite difference at omega = pi/2 is
+    -1/2 [log1p(-c) + log1p(rho c) - log1p(-(c/sin0)^2)] / ln 2; the step is
+    accepted when that difference over delta lies within 50% of deriv.
+    """
+    c = math.sin(delta)
+    if c >= sin0:
+        return False
+    diff = -0.5 * (math.log1p(-c) + math.log1p(rho * c)
+                   - math.log1p(-((c / sin0) ** 2))) / LN2
+    return abs(diff / delta - deriv) <= deriv / 2.0
+
+
+def _certificate_may_bind(params: ChannelParams, c0: float, value: float) -> bool:
+    """False only where gap_certificate's certified bound is >= value for sure.
+
+    value <= C(inf) is the bound after its cut-set and C(0) clamps, and
+    margin = C(inf) - value is exact by Sterbenz (value >= C(0) >= C(inf)/2
+    wherever 1 + P/N does not round) and within half an ulp otherwise.  The
+    certified bound C(inf) - P delta1 / (2 (2P+N) ln 2) reaches value at
+    delta_t = margin 2 (2P+N) ln 2 / P; the test point is delta_t lowered by
+    a guard.  The bisection keeps its step delta1 below theta0 and the step
+    condition true at delta1, and the exact condition holds below one
+    transition step and fails above it.  So if the test point is >= theta0,
+    or the float condition fails there, delta1 < delta_t: the certified
+    bound is >= value and clamping to it changes nothing.
+
+    The guard covers the roundings of margin, delta_t and the certified
+    bound (~10 eps), and the band around the transition where the float
+    condition can disagree with the exact one.  At the transition the three
+    log1p terms, each of size up to ~c and good to an ulp, cancel to
+    ~(1 - rho) c / 2 = P c / (2P + N), so the difference quotient is good to
+    ~8 eps (2P+N)/P relative; the quotient falls at least linearly in delta,
+    so that error moves the float transition by at most twice as much, and
+    the test, which must clear both ends of that band, needs
+    ~32 eps (2P+N)/P + 10 eps.  1024 eps (2P+N)/P leaves a factor of 30 over
+    that estimate; where the guard reaches 1/2 (SNR below ~1e-13) the
+    bisection always runs.
+    """
+    P, N = params.P, params.N
+    guard = 1024.0 * _EPS * (2.0 * P + N) / P
+    if not guard < 0.5:
+        return True
+    margin = capacity_full_cooperation(params) - value
+    delta = margin * (2.0 * (2.0 * P + N) * LN2 / P) * (1.0 - guard)
+    sin0 = 2.0 ** (-c0)
+    if delta >= math.asin(sin0):
+        return False
+    if not delta >= sys.float_info.min:
+        # margin 0, or a step too small for the band estimate to hold
+        return True
+    return _step_condition(delta, sin0, N / (2.0 * P + N), P / ((2.0 * P + N) * LN2))
 
 
 def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
@@ -187,6 +250,11 @@ def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
     in log delta.  The valid step shrinks like theta0^2; once the bisection
     floor leaves float64's normal range (C0 in the hundreds) the
     certificate raises NumericalError.
+
+    Every call runs the full bisection.  capacity_upper_bound calls it only
+    where the clamp to certified_bound may bind; elsewhere one evaluation
+    of the step condition shows delta1 lies below the step at which the
+    certified bound would reach the bound's value.
     """
     if not math.isfinite(c0) or c0 < 0:
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
@@ -196,20 +264,12 @@ def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
     theta0 = math.asin(sin0)
     rho = N / (2.0 * P + N)
 
-    def condition(delta: float) -> bool:
-        c = math.sin(delta)
-        if c >= sin0:
-            return False
-        diff = -0.5 * (math.log1p(-c) + math.log1p(rho * c)
-                       - math.log1p(-((c / sin0) ** 2))) / LN2
-        return abs(diff / delta - deriv) <= deriv / 2.0
-
     lo, hi = theta0 * theta0 * (P / (2.0 * P + N)) * 1e-6, theta0
     if lo < sys.float_info.min:
         raise NumericalError(
             f"C0 = {c0} puts the certificate step below float64 range"
         )
-    if not condition(lo):
+    if not _step_condition(lo, sin0, rho, deriv):
         raise NumericalError(
             f"finite-difference certificate failed at the bisection floor for c0={c0}"
         )
@@ -217,7 +277,7 @@ def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
         mid = math.sqrt(lo) * math.sqrt(hi)
         if not lo < mid < hi:
             break
-        if condition(mid):
+        if _step_condition(mid, sin0, rho, deriv):
             lo = mid
         else:
             hi = mid

@@ -20,7 +20,11 @@ Nothing here is used by the package itself:
   raise the same errors at the same trial;
 - the kernel's float minimum over omega at one theta, and the bound's sup
   as the package found it before the closed form: scipy's `brentq` for the
-  crossing of C0 + log2 sin(theta) and that minimum.
+  crossing of C0 + log2 sin(theta) and that minimum;
+- a frozen copy of `capacity_upper_bound` as it was before it ran the
+  certificate's bisection only where the clamp can bind: it runs it at
+  every point.  The package must return the same floats and raise the
+  same errors.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ import numpy as np
 import scipy.optimize
 from scipy.interpolate import PchipInterpolator
 
-from relaycap import geometry, montecarlo
+from relaycap import bounds, geometry, montecarlo
 from relaycap.bounds import _kernel_cos
-from relaycap.errors import DomainError, NumericalError
+from relaycap.channel import ChannelParams, capacity_no_relay
+from relaycap.errors import DomainError, InvalidInput, NumericalError
 from relaycap.geometry import (
     LN2,
     CapSpec,
@@ -548,3 +553,21 @@ def brent_sup(P: float, N: float, c0: float) -> float:
         root = scipy.optimize.brentq(excess, lo, hi, xtol=sys.float_info.min,
                                      rtol=4.0 * sys.float_info.epsilon)
     return max(c0 + math.log2(math.sin(root)), inner_min(P, N, root)[1])
+
+
+def capacity_upper_bound_always_bisect(params: ChannelParams, c0: float) -> float:
+    """capacity_upper_bound with the certificate clamp applied at every point."""
+    if math.isinf(c0):
+        raise InvalidInput("capacity_upper_bound requires finite C0; use "
+                           "capacity_full_cooperation for the C0 = inf asymptote")
+    if c0 < 0 or math.isnan(c0):
+        raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
+    best = bounds._outer_sup(params.P, params.N, c0)
+    c_no_relay = capacity_no_relay(params)
+    value = c_no_relay + best + 8.0 * sys.float_info.epsilon * (1.0 + c0 + c_no_relay)
+    value = max(min(value, bounds.cutset_bound(params, c0)), c_no_relay)
+    try:
+        value = min(value, bounds.gap_certificate(params, c0).certified_bound)
+    except NumericalError:
+        pass
+    return max(value, bounds.compress_forward_rate(params, c0))

@@ -26,9 +26,11 @@ from relaycap import (
 from relaycap import bounds
 from relaycap.bounds import cf_quantization_variance
 
-from oracles import brent_sup, inner_min
+from oracles import brent_sup, capacity_upper_bound_always_bisect, inner_min
 
 P11 = ChannelParams(1.0, 1.0)
+# a `curves` pool point where the clamp to the certified bound changes the value
+BINDS_SNR, BINDS_C0 = 5.2369760750770125, 21.619751884644764
 HALF_PI = math.pi / 2
 EPS = sys.float_info.epsilon
 
@@ -286,6 +288,22 @@ class TestGapCertificate:
         assert 0.0 < cert.delta1 < cert.theta0
         assert cert.gap_lower_bound > 0.0
 
+    def test_bisection_runs_only_where_the_clamp_may_bind(self, monkeypatch):
+        calls = []
+        real = bounds.gap_certificate
+
+        def counted(params, c0):
+            calls.append(c0)
+            return real(params, c0)
+
+        monkeypatch.setattr(bounds, "gap_certificate", counted)
+        capacity_upper_bound(P11, 1.0)
+        assert calls == []
+        p = ChannelParams.from_snr(BINDS_SNR)
+        ub = capacity_upper_bound(p, BINDS_C0)
+        assert calls == [BINDS_C0]
+        assert ub == real(p, BINDS_C0).certified_bound
+
     def test_large_c0_condition_against_mpmath(self):
         # Independent re-check of the certifying condition at 80 digits.
         cert = gap_certificate(P11, 30.0)
@@ -503,6 +521,29 @@ class TestProperties:
         p = ChannelParams.from_snr(snr)
         ub = capacity_upper_bound(p, c0)
         assert compress_forward_rate(p, c0) <= ub <= cutset_bound(p, c0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        snr=_snr(-300, 300),
+        c0=st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                     st.floats(0.0, 60.0)),
+    )
+    @example(snr=BINDS_SNR, c0=BINDS_C0)
+    # theta0 = asin(2^-C0) underflows to 0
+    @example(snr=1.0, c0=1075.0)
+    @example(snr=1.0, c0=5e-324)
+    # a guard of 0.23, near the 1/2 from which the bisection always runs
+    @example(snr=1e-12, c0=2e-13)
+    def test_same_bits_as_always_bisect(self, snr, c0):
+        p = ChannelParams.from_snr(snr)
+
+        def outcome(f):
+            try:
+                return f(p, c0).hex()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(capacity_upper_bound) == outcome(capacity_upper_bound_always_bisect)
 
     @settings(max_examples=100, deadline=None)
     # below C0 ~ 1e-60 the oracle's root-find in theta stalls within

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -122,6 +123,16 @@ class TestBoundsSweep:
         code, out, _ = run_cli(capsys, "bounds-sweep", "--snr", "1", "--c0-steps", "1")
         assert code == EXIT_OK
         assert "tol" not in json.loads(out)["params"]
+
+    # the paper's figure, 3 SNRs x 60 C0 points: its bytes must not move
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "c8abac9f5b9751c878f4d3c8c9ae7bc3cffba40621bbc553accfbe6078d69b59"),
+        ("csv", "d376339896d0282ea8df842144c05c03342f227e081d2448038f787038db8cd9"),
+    ])
+    def test_default_sweep_bytes(self, capsys, fmt, digest):
+        code, out, _ = run_cli(capsys, "bounds-sweep", "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGap:
