@@ -123,7 +123,12 @@ def _outer_sup(P: float, N: float, c0: float) -> float:
         # 4^C0 beyond float64 (C0 > 512): c* < 2^-1024 moves no bit of the
         # sup, which is C(inf) - C(0)
         e = math.inf
-    return 0.5 * math.log1p(P / (P + N + P / e) if e else 0.0) / LN2
+    if not e:
+        return 0.0
+    d = P + N + P / e
+    # at huge SNR and tiny C0 (e.g. 1e300 and 1e-9) P / e overflows, which
+    # would drop the sup to 0; there P / (P + N + P / e) = e / (e + 1 + e N / P)
+    return 0.5 * math.log1p(P / d if d < math.inf else e / (e + 1.0 + e * N / P)) / LN2
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +328,16 @@ def cf_quantization_variance(params: ChannelParams, c0: float) -> float:
     P, N = params.P, params.N
     try:
         # expm1 keeps 2^(2 C0) - 1 exact down to subnormal C0
-        return N * (2.0 * P + N) / ((P + N) * math.expm1(2.0 * c0 * LN2))
+        e = math.expm1(2.0 * c0 * LN2)
     except OverflowError:
         # 2^(2 C0) beyond float64 (C0 > 512): sigma^2 is below N's last ulp
         return 0.0
+    num, den = N * (2.0 * P + N), (P + N) * e
+    if num < math.inf and den < math.inf:
+        return num / den
+    # at huge SNR a product overflows while sigma^2 ~ 2N / (4^C0 - 1) still
+    # moves the rate (e.g. SNR 1e305, C0 = 10), so form the ratio first
+    return N * ((2.0 * P + N) / (P + N)) / e
 
 
 def sweep(params: ChannelParams, c0_grid: list[float]) -> list[tuple[float, float, float, float]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalError
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,14 @@ class ChannelParams:
         for name, value in (("P", self.P), ("N", self.N)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
+        # the largest terms the capacities, bounds and certificate form; past
+        # them (SNR from 2^1022 ~ 4.5e307 at N = 1) a C(inf), a certified gap
+        # or a rate would come out infinite, zero or NaN
+        if not (2.0 * (2.0 * self.P + self.N) < math.inf and 2.0 * self.P / self.N < math.inf):
+            raise NumericalError(
+                f"SNR {self.P / self.N!r} (P={self.P!r}, N={self.N!r}) overflows 2P/N "
+                "or 2(2P + N) in float64"
+            )
 
     @property
     def snr(self) -> float:

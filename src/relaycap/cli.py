@@ -7,27 +7,31 @@ numerical failure (inside a sweep, a certificate step below float64 range,
 or any other internal arithmetic or math-domain failure), 4 Monte Carlo
 fail, 5 Monte Carlo inconclusive.
 
-Each command declares its flags once in build_parser and returns its
-record with one dict per output row; the dict's keys are the columns.
-A request is parsed by its own command's parser alone; other argv (help, an
-unknown command, options before the command words) go through the parser tree.
+Each command declares its flags once in _COMMANDS and returns its record
+with one dict per output row; the dict's keys are the columns.  A request
+in plain form (command words, then the command's own flags, each with one
+value) is parsed from that table without argparse; all other argv (help,
+errors, abbreviations, "=" forms, negative values) go to the argparse
+parser that build_parser makes from the same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import bounds, channel, geometry
 from .errors import DomainError, InvalidInput, NumericalError, UnsupportedSet
 
 if TYPE_CHECKING:
+    import argparse
+
     from .montecarlo import McReport, SphereSet
 
 SCHEMA_VERSION = "1"
@@ -55,6 +59,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps's route for a str
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _json_key(key) -> str:
+    return json.dumps(str(key)) + ": "
+
+
+def _json_text(v) -> str:
+    """v as JSON text, floats as unquoted 17-significant-digit numbers.
+
+    Hand-rolled because the standard encoder offers no float format hook.
+    Non-finite floats take the json module's spelling (Infinity, -Infinity,
+    NaN), which json.loads reads back.
+    """
+    if isinstance(v, float):
+        return format(v, ".17g") if math.isfinite(v) else json.dumps(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return _json_str(v)
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join([_json_text(x) for x in v]) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join([_json_key(k) + _json_text(x) for k, x in v.items()]) + "}"
+    raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
 @dataclass
 class OutputRecord:
     """One command's machine-readable result: params plus rows keyed by column."""
@@ -64,34 +98,12 @@ class OutputRecord:
     rows: list[dict]
 
     def to_json(self) -> str:
-        # Hand-rolled so floats appear as unquoted 17-significant-digit
-        # JSON numbers; the standard encoder offers no format hook.
-        # Non-finite floats take the json module's spelling (Infinity,
-        # -Infinity, NaN), which json.loads reads back.
-        def render(v) -> str:
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, float):
-                return format(v, ".17g") if math.isfinite(v) else json.dumps(v)
-            if isinstance(v, int):
-                return str(v)
-            if isinstance(v, str):
-                return json.dumps(v)
-            if isinstance(v, (list, tuple)):
-                return "[" + ", ".join(render(x) for x in v) + "]"
-            if isinstance(v, dict):
-                return "{" + ", ".join(
-                    f"{json.dumps(str(k))}: {render(x)}" for k, x in v.items()
-                ) + "}"
-            raise TypeError(f"cannot serialize {type(v).__name__}")
-
-        doc = {
+        return _json_text({
             "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "params": self.params,
             "rows": self.rows,
-        }
-        return render(doc)
+        })
 
     def to_csv(self) -> str:
         columns = list(self.rows[0])
@@ -347,7 +359,7 @@ def _cmd_mc(args) -> tuple[OutputRecord, int]:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Flags and parsing
 # ---------------------------------------------------------------------------
 
 _ANGLE_FLAGS = {"--theta", "--theta2", "--omega", "--angular-slack"}
@@ -361,105 +373,196 @@ def _optional(kind, default):
     return {"type": kind, "default": default}
 
 
-# command words, such as ("gap",) or ("geom", "cap-area") -> that command's parser
-_LEAF_PARSERS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+def _leaf(func, flags: list, **kwargs) -> tuple:
+    """A command's (handler, flags, add_parser keywords).
 
-
-def _command(subparsers, words: tuple, func, flags: list, **kwargs) -> None:
-    """Add the command named `words` with `flags` ((option, add_argument keywords) pairs).
-
-    Every command also takes --out and --format; --deg comes only with an
-    angle flag.
+    `flags` are (option, add_argument keywords) pairs.  Every command also
+    takes --out and --format; --deg comes only with an angle flag.
     """
-    p = subparsers.add_parser(words[-1], **kwargs)
-    for option, options in flags:
-        p.add_argument(option, **options)
-    p.add_argument("--out", default=None, help="also write the record to this path")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    flags = [
+        *flags,
+        ("--out", {"default": None, "help": "also write the record to this path"}),
+        ("--format", {"choices": ("csv", "json"), "default": "json"}),
+    ]
     if any(option in _ANGLE_FLAGS for option, _ in flags):
-        p.add_argument("--deg", action="store_true",
-                       help="interpret angle flags as degrees")
-    p.set_defaults(func=func)
-    _LEAF_PARSERS[words] = p
+        flags.append(("--deg", {"action": "store_true",
+                                "help": "interpret angle flags as degrees"}))
+    return func, flags, kwargs
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The relaycap argument parser, built once per process and shared.
+_M = ("--m", _optional(int, 100))
+_N_SCALE = ("--n-scale", _optional(float, 1.0))
+_THETA = ("--theta", _required(float))
+_DELTA = ("--delta", _optional(float, 0.1))
+_MC_COMMON = [("--m", _required(int)), ("--seed", _optional(int, 0)),
+              ("--samples", _optional(int, 10000))]
+_MC_SETS = [
+    ("--epsilon", _optional(float, 0.1)),
+    ("--set", {"choices": ("cap", "band", "twocaps"), "default": "cap"}),
+    ("--theta", {**_required(float), "help": "target effective angle of the set"}),
+]
+_MC_TRIALS = [
+    ("--omega", _required(float)),
+    ("--trials", _optional(int, 200)),
+    ("--angular-slack", {**_optional(float, None),
+                         "help": "override the angular slack (defaults to epsilon)"}),
+]
 
-    Sharing is safe: parse_args does not change the parser, each parse
-    starts a fresh list for an `append` option, and the `func` defaults
-    bind the module's command functions.
-    """
-    parser = argparse.ArgumentParser(
-        prog="relaycap",
-        description="Gaussian relay channel capacity bounds and geometry tools",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _command(sub, ("bounds-sweep",), _cmd_bounds_sweep, [
+# command words, such as ("gap",) or ("geom", "cap-area") -> that command's
+# declaration; build_parser and the quick path both read it
+_COMMANDS = {
+    ("bounds-sweep",): _leaf(_cmd_bounds_sweep, [
         ("--snr", {"type": float, "action": "append",
                    "help": "P/N (repeatable; default 0.1, 1, 10)"}),
         ("--c0-min", _optional(float, 0.05)),
         ("--c0-max", _optional(float, 3.0)),
         ("--c0-steps", _optional(int, 60)),
-    ], help="evaluate bound curves on a C0 grid")
-    _command(sub, ("gap",), _cmd_gap, [
-        ("--snr", _required(float)),
-        ("--c0", _required(float)),
-    ], help="strict-gap certificate below full cooperation")
-
-    geom = sub.add_parser("geom", help="log-domain geometry queries").add_subparsers(
-        dest="geom_command", required=True
-    )
-    m = ("--m", _optional(int, 100))
-    n_scale = ("--n-scale", _optional(float, 1.0))
-    theta = ("--theta", _required(float))
-    delta = ("--delta", _optional(float, 0.1))
-    _command(geom, ("geom", "cap-area"), _cmd_geom, [m, n_scale, theta])
-    _command(geom, ("geom", "cap-intersect"), _cmd_geom, [
-        m, n_scale, theta, ("--theta2", _required(float))])
-    _command(geom, ("geom", "shell-cap"), _cmd_geom, [
-        m, n_scale, theta, ("--omega", _optional(float, None)), delta])
-    _command(geom, ("geom", "ball-intersect"), _cmd_geom, [
-        m, ("--r1", _required(float)), ("--r2", _required(float)), ("--d", _required(float)),
-    ])
-    _command(geom, ("geom", "exponent"), _cmd_geom, [
-        n_scale, theta, ("--omega", _required(float))])
-
-    mc = sub.add_parser("mc", help="seeded Monte Carlo experiments").add_subparsers(
-        dest="mc_command", required=True
-    )
-    common = [("--m", _required(int)), ("--seed", _optional(int, 0)),
-              ("--samples", _optional(int, 10000))]
-    sets = [
-        ("--epsilon", _optional(float, 0.1)),
-        ("--set", {"choices": ("cap", "band", "twocaps"), "default": "cap"}),
-        ("--theta", {**_required(float), "help": "target effective angle of the set"}),
-    ]
-    trials = [
-        ("--omega", _required(float)),
-        ("--trials", _optional(int, 200)),
-        ("--angular-slack", {**_optional(float, None),
-                             "help": "override the angular slack (defaults to epsilon)"}),
-    ]
-    _command(mc, ("mc", "concentration"), _cmd_mc, [*common, ("--mu", _required(float))])
-    _command(mc, ("mc", "blowup"), _cmd_mc, [*common, *sets])
-    _command(mc, ("mc", "isoperimetry-sphere"), _cmd_mc, [*common, *sets, *trials])
-    _command(mc, ("mc", "isoperimetry-shell"), _cmd_mc, [
-        *common, *sets, *trials, n_scale, delta,
+    ], help="evaluate bound curves on a C0 grid"),
+    ("gap",): _leaf(_cmd_gap, [("--snr", _required(float)), ("--c0", _required(float))],
+                    help="strict-gap certificate below full cooperation"),
+    ("geom", "cap-area"): _leaf(_cmd_geom, [_M, _N_SCALE, _THETA]),
+    ("geom", "cap-intersect"): _leaf(_cmd_geom, [
+        _M, _N_SCALE, _THETA, ("--theta2", _required(float))]),
+    ("geom", "shell-cap"): _leaf(_cmd_geom, [
+        _M, _N_SCALE, _THETA, ("--omega", _optional(float, None)), _DELTA]),
+    ("geom", "ball-intersect"): _leaf(_cmd_geom, [
+        _M, ("--r1", _required(float)), ("--r2", _required(float)), ("--d", _required(float))]),
+    ("geom", "exponent"): _leaf(_cmd_geom, [
+        _N_SCALE, _THETA, ("--omega", _required(float))]),
+    ("mc", "concentration"): _leaf(_cmd_mc, [*_MC_COMMON, ("--mu", _required(float))]),
+    ("mc", "blowup"): _leaf(_cmd_mc, [*_MC_COMMON, *_MC_SETS]),
+    ("mc", "isoperimetry-sphere"): _leaf(_cmd_mc, [*_MC_COMMON, *_MC_SETS, *_MC_TRIALS]),
+    ("mc", "isoperimetry-shell"): _leaf(_cmd_mc, [
+        *_MC_COMMON, *_MC_SETS, *_MC_TRIALS, _N_SCALE, _DELTA,
         ("--extrude-lo", _optional(float, 0.0)), ("--extrude-hi", _optional(float, 1.0)),
-    ])
+    ]),
+}
+_GROUP_HELP = {"geom": "log-domain geometry queries", "mc": "seeded Monte Carlo experiments"}
 
+# command words -> that command's argparse parser, filled by build_parser
+_LEAF_PARSERS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The relaycap argument parser, built from _COMMANDS once per process and shared.
+
+    Sharing is safe: parse_args does not change the parser, each parse
+    starts a fresh list for an `append` option, and the `func` defaults
+    bind the module's command functions.
+    """
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="relaycap",
+        description="Gaussian relay channel capacity bounds and geometry tools",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for words, (func, flags, kwargs) in _COMMANDS.items():
+        parent = sub
+        if len(words) == 2:
+            if words[0] not in groups:
+                groups[words[0]] = sub.add_parser(
+                    words[0], help=_GROUP_HELP[words[0]]
+                ).add_subparsers(dest=f"{words[0]}_command", required=True)
+            parent = groups[words[0]]
+        p = parent.add_parser(words[-1], **kwargs)
+        for option, options in flags:
+            p.add_argument(option, **options)
+        p.set_defaults(func=func)
+        _LEAF_PARSERS[words] = p
     return parser
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """Parse argv with its command's own parser where it starts with command words.
+@functools.cache
+def _flag_table(words: tuple) -> tuple:
+    """The quick path's view of a command's flags, derived from _COMMANDS.
 
-    The namespace starts as the parser tree leaves it for that parser, and
-    leftovers are reported by the root parser, as parse_args does.
+    (option string -> (dest, type, action, choices); the namespace a request
+    with no flags would get, command words and func included; the dests of
+    required flags).  Dests, defaults and the store_true default False are
+    those argparse derives from the same declarations.
     """
+    func, flags, _ = _COMMANDS[words]
+    by_option, defaults, required = {}, {"command": words[0]}, set()
+    if len(words) == 2:
+        defaults[f"{words[0]}_command"] = words[1]
+    for option, options in flags:
+        dest = option[2:].replace("-", "_")
+        action = options.get("action")
+        by_option[option] = (dest, options.get("type"), action, options.get("choices"))
+        if options.get("required"):
+            required.add(dest)
+        else:
+            defaults[dest] = options.get("default", False if action == "store_true" else None)
+    defaults["func"] = func
+    return by_option, defaults, frozenset(required)
+
+
+def _quick_parse(argv: list) -> SimpleNamespace | None:
+    """Parse a request in plain form from the flag table; None for any other argv.
+
+    Plain form: the command words, then only that command's own option
+    strings, each followed by exactly one value that does not start with
+    "-" (a store_true flag takes none).  Values convert with the declared
+    type and lie within its choices, `append` accumulates, a repeated flag
+    keeps its last value, and every required flag is present.  The
+    namespace then holds what argparse would set.  Help, abbreviations,
+    "=" forms, negative values, "--", unknown words and every error go to
+    argparse, the only source of help, usage and error text.
+    """
+    words = tuple(argv[:2])
+    if words not in _COMMANDS:
+        words = words[:1]
+        if words not in _COMMANDS:
+            return None
+    by_option, defaults, required = _flag_table(words)
+    values = dict(defaults)
+    seen = set()
+    i, n = len(words), len(argv)
+    while i < n:
+        flag = by_option.get(argv[i])
+        if flag is None:
+            return None
+        dest, kind, action, choices = flag
+        if action == "store_true":
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == n or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if kind is not None:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        if action == "append":
+            value = [*(values[dest] or ()), value]
+        values[dest] = value
+        seen.add(dest)
+        i += 2
+    if not required <= seen:
+        return None
+    return SimpleNamespace(**values)
+
+
+def _parse(argv: list):
+    """Parse argv: the quick path for a request in plain form, else argparse.
+
+    argparse parses argv with its command's own parser where it starts with
+    command words: the namespace starts as the parser tree leaves it for
+    that parser, and leftovers are reported by the root parser, as
+    parse_args does.  Other argv go through the parser tree.
+    """
+    args = _quick_parse(argv)
+    if args is not None:
+        return args
+    import argparse
+
     parser = build_parser()
     words = tuple(argv[:2]) if tuple(argv[:2]) in _LEAF_PARSERS else tuple(argv[:1])
     if words not in _LEAF_PARSERS:

@@ -572,6 +572,25 @@ def _log2_radial_integral(m: int, base_R: float, r_lo: float, r_hi: float) -> fl
     return math.log2(base_R / m) + u + math.log2(1.0 - tail)
 
 
+def _log2_shell_radial(spec: ShellSpec, base_R: float) -> float:
+    """log2 of the integral of (r / base_R)^(m-1) dr over the shell's radii.
+
+    Where delta > 0 but the two radii round to one float (delta/N below
+    ~1e-15), their powers would cancel to the -inf sentinel.  There the
+    integral is (base_R/m) (r_lower/base_R)^m expm1(m atanh t), t = delta/N,
+    since (r_upper/r_lower)^2 = (1 + t)/(1 - t); at such t, atanh(t) = t,
+    and log2 t is taken as log2 delta - log2 N, which stays finite where
+    delta is subnormal.  delta = 0 keeps the -inf sentinel.
+    """
+    m, r_lo, r_hi = spec.m, spec.r_lower, spec.r_upper
+    if r_hi > r_lo or spec.delta == 0.0:
+        return _log2_radial_integral(m, base_R, r_lo, r_hi)
+    x = m * (spec.delta / spec.N)
+    log2_growth = math.log2(m) + math.log2(spec.delta) - math.log2(spec.N) + (
+        math.log2(math.expm1(x) / x) if x else 0.0)
+    return math.log2(base_R / m) + m * math.log2(r_lo / base_R) + log2_growth
+
+
 def log_shell_cap_volume(spec: ShellSpec, theta: float) -> LogMeasure:
     """Volume of a shell cap (radially extruded spherical cap).
 
@@ -583,23 +602,21 @@ def log_shell_cap_volume(spec: ShellSpec, theta: float) -> LogMeasure:
         raise DomainError(f"shell cap angle must lie in (0, pi/2], got {theta}")
     if spec.delta >= spec.N:
         raise DomainError(f"delta must be < N, got {spec.delta} >= {spec.N}")
-    r_lo, r_hi = spec.r_lower, spec.r_upper
-    if r_hi <= r_lo:
+    r_lo = spec.r_lower
+    if spec.delta == 0.0:
         return LogMeasure(-math.inf, MeasureKind.VOLUME)
+    radial = _log2_shell_radial(spec, r_lo)
     cap = log_cap_area(CapSpec(spec.m, r_lo, theta)).log2_value
-    radial = _log2_radial_integral(spec.m, r_lo, r_lo, r_hi)
     return LogMeasure(cap + radial, MeasureKind.VOLUME)
 
 
 def log_shell_volume(spec: ShellSpec) -> LogMeasure:
     """Volume of the whole shell (difference of two ball volumes, log domain)."""
-    r_lo, r_hi = spec.r_lower, spec.r_upper
-    if r_hi <= r_lo:
+    r_lo = spec.r_lower
+    if spec.delta == 0.0:
         return LogMeasure(-math.inf, MeasureKind.VOLUME)
-    value = log_sphere_area(spec.m, r_lo).log2_value + _log2_radial_integral(
-        spec.m, r_lo, r_lo, r_hi
-    )
-    return LogMeasure(value, MeasureKind.VOLUME)
+    radial = _log2_shell_radial(spec, r_lo)
+    return LogMeasure(log_sphere_area(spec.m, r_lo).log2_value + radial, MeasureKind.VOLUME)
 
 
 def log_shellcap_intersection_bounds(
@@ -615,7 +632,7 @@ def log_shellcap_intersection_bounds(
     """
     base_R = _radius(spec.m, spec.N)
     base = log_cap_intersection(spec.m, spec.N, theta, omega)
-    radial = _log2_radial_integral(spec.m, base_R, spec.r_lower, spec.r_upper)
+    radial = _log2_shell_radial(spec, base_R)
     exact = LogMeasure(base.log2_value + radial, MeasureKind.VOLUME, base.near_degenerate)
     d = _sin2_minus_cos2(theta, omega)
     half_m = spec.m / 2.0

@@ -24,11 +24,15 @@ Nothing here is used by the package itself:
 - a frozen copy of `capacity_upper_bound` as it was before it ran the
   certificate's bisection only where the clamp can bind: it runs it at
   every point.  The package must return the same floats and raise the
-  same errors.
+  same errors;
+- a frozen copy of `OutputRecord.to_json` as it was before the CLI's
+  module-level JSON writer: a closure rebuilt per call, every key and
+  string through `json.dumps`.  The writer must give the same text.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from functools import lru_cache
@@ -571,3 +575,31 @@ def capacity_upper_bound_always_bisect(params: ChannelParams, c0: float) -> floa
     except NumericalError:
         pass
     return max(value, bounds.compress_forward_rate(params, c0))
+
+
+def to_json_frozen(record) -> str:
+    """`OutputRecord.to_json` before the module-level writer, verbatim."""
+    def render(v) -> str:
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return format(v, ".17g") if math.isfinite(v) else json.dumps(v)
+        if isinstance(v, int):
+            return str(v)
+        if isinstance(v, str):
+            return json.dumps(v)
+        if isinstance(v, (list, tuple)):
+            return "[" + ", ".join(render(x) for x in v) + "]"
+        if isinstance(v, dict):
+            return "{" + ", ".join(
+                f"{json.dumps(str(k))}: {render(x)}" for k, x in v.items()
+            ) + "}"
+        raise TypeError(f"cannot serialize {type(v).__name__}")
+
+    doc = {
+        "schema_version": "1",
+        "command": record.command,
+        "params": record.params,
+        "rows": record.rows,
+    }
+    return render(doc)

@@ -323,6 +323,37 @@ class TestGapCertificate:
         assert abs(float(fd - deriv)) <= 0.5 * float(deriv) + 1e-12
 
 
+class TestHugeSnr:
+    """Near float64's top the forms' products overflow before their values do."""
+
+    @pytest.mark.parametrize("snr, c0", [
+        (1e300, 1e-9),   # P / (4^C0 - 1) overflows in the sup
+        (1e305, 10.0),   # (P + N)(4^C0 - 1) overflows in sigma^2
+        (4.4e307, 1.0),  # just below 2(2P + N) overflowing
+    ])
+    def test_bound_and_rate_against_mpmath(self, snr, c0):
+        p = ChannelParams.from_snr(snr)
+        with mp.workdps(60):
+            P, N, e = mp.mpf(p.P), mp.mpf(p.N), mp.mpf(4) ** c0 - 1
+            c_star = P / ((P + N) * e + P)
+            c_no_relay = mp.log(1 + P / N, 2) / 2
+            bound = c_no_relay + mp.log(1 + P * (1 - c_star) / (P + N), 2) / 2
+            sigma2 = N * (2 * P + N) / ((P + N) * e)
+            rate = mp.log(1 + P / N + P / (N + sigma2), 2) / 2
+            ub = capacity_upper_bound(p, c0)
+            # not below the correctly rounded bound (the float cut-set clamp,
+            # C(0) + C0 rounded to nearest, can sit half an ulp under the exact
+            # one at tiny C0), and above it by at most the error allowance
+            assert float(bound) <= ub <= bound + 16 * EPS * (1 + c0 + c_no_relay)
+            assert abs(compress_forward_rate(p, c0) - rate) <= 4 * EPS * rate
+        assert gap_certificate(p, c0).gap_lower_bound > 0
+
+    @pytest.mark.parametrize("P, N", [(1e308, 1.0), (2.0 ** 1022, 1.0), (1e300, 1e-10)])
+    def test_overflowing_snr_is_numerical(self, P, N):
+        with pytest.raises(NumericalError, match="SNR"):
+            ChannelParams(P, N)
+
+
 class TestCompressForward:
     def test_limits(self):
         assert compress_forward_rate(P11, 0.0) == capacity_no_relay(P11)

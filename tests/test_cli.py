@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,8 +12,11 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaycap import cli, montecarlo
+from oracles import to_json_frozen
 from relaycap.cli import (
     EXIT_MC_FAIL,
     EXIT_MC_INCONCLUSIVE,
@@ -133,6 +138,18 @@ class TestBoundsSweep:
         code, out, _ = run_cli(capsys, "bounds-sweep", "--format", fmt)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds-sweep", "--snr", "1e308", "--c0-min", "1", "--c0-steps", "1"],
+        ["gap", "--snr", "1e308", "--c0", "1"],
+    ], ids=["bounds-sweep", "gap"])
+    def test_snr_beyond_float_range_is_numerical(self, capsys, argv):
+        # 2P/N overflows: the rows would hold Infinity and NaN, and gap would
+        # blame C0
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_NUMERICAL
+        assert not out
+        assert "SNR 1e+308" in err
 
 
 class TestGap:
@@ -399,6 +416,42 @@ class TestOutput:
         assert math.isnan(row["b"]) and row["d"] == [math.inf, 1.5]
 
 
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1e-308, math.inf, -math.inf, math.nan, 0.1, 1.0, 1e16, 1e17]),
+)
+_SCALARS = st.one_of(_FLOATS, st.integers(), st.booleans(), st.text(),
+                     st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é ☃ 𝄞", "\ud800"]))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4),
+                    st.tuples(_SCALARS, _SCALARS))
+
+
+class TestJsonWriter:
+    """The module-level writer gives the frozen closure's text byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.text(), params=st.dictionaries(st.text(), _VALUES, max_size=5),
+           rows=st.lists(st.dictionaries(st.text(), _VALUES, max_size=6), max_size=3))
+    @example(command="geom cap-area", params={"snr": [0.1, 1.0, 10.0], "m": 100},
+             rows=[{"a": -0.0, "b": 5e-324, "c": math.nan, "d": -math.inf, "e": True,
+                    "f": 'q"\\\n\u00e9', "g": 1e308}])
+    def test_same_text_as_frozen(self, command, params, rows):
+        record = OutputRecord(command, params, rows)
+        assert record.to_json() == to_json_frozen(record)
+
+    def test_non_string_keys_as_frozen(self):
+        # keys print as str(key), as in the frozen copy; 1 and True hash
+        # alike but print apart, whichever is written first
+        for params in ({1: 0, 1.5: 1, None: 2}, {True: 0}):
+            record = OutputRecord("x", params, [])
+            assert record.to_json() == to_json_frozen(record)
+
+    def test_unserializable_raises(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            OutputRecord("x", {"a": object()}, []).to_json()
+
+
 class TestExitCodes:
     def test_internal_math_domain_error_is_numerical(self, capsys, monkeypatch):
         import relaycap.geometry as gmod
@@ -473,6 +526,22 @@ class TestNScale:
         for row in json.loads(out or '{"rows": []}')["rows"]:
             assert all(math.isfinite(v) for v in row.values()), row
 
+    @pytest.mark.parametrize("argv", [
+        ["--n-scale", "1e200"], ["--n-scale", "1e200", "--omega", "0.7"],
+        ["--delta", "1e-320"], ["--delta", "1e-320", "--omega", "0.7"],
+    ])
+    def test_thin_shell_measure_finite(self, capsys, argv):
+        # delta / N below ~1e-16 rounds the two radii to one float; the
+        # measure is still finite, and only delta = 0 gives -inf
+        code, out, err = run_cli(capsys, "geom", "shell-cap", "--m", "50", "--theta", "1", *argv)
+        assert code == EXIT_OK, err
+        row = json.loads(out)["rows"][0]
+        assert all(math.isfinite(v) for v in row.values()), row
+        code, out, _ = run_cli(capsys, "geom", "shell-cap", "--m", "50", "--theta", "1",
+                               "--delta", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0]["log2_measure"] == -math.inf
+
     @pytest.mark.parametrize("query", [["cap-area", "--theta", "1"],
                                        ["cap-intersect", "--theta", "1.2", "--theta2", "0.7"]])
     def test_overflowing_scale_shifts_measure(self, capsys, query):
@@ -510,14 +579,19 @@ OPTIONS = {
 }
 
 
-def _leaf_options(parser, prefix=()):
-    """{command: option strings} for every leaf command under `parser`."""
+def _leaf_actions(parser, words=()):
+    """{command words: that command's argparse actions} for every leaf under `parser`."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return {name: opts for sub_name, sub in action.choices.items()
-                    for name, opts in _leaf_options(sub, prefix + (sub_name,)).items()}
-    return {" ".join(prefix): {s for a in parser._actions for s in a.option_strings}
-            - {"-h", "--help"}}
+            return {leaf: actions for name, sub in action.choices.items()
+                    for leaf, actions in _leaf_actions(sub, words + (name,)).items()}
+    return {words: [a for a in parser._actions if a.option_strings != ["-h", "--help"]]}
+
+
+def _leaf_options(parser):
+    """{command: option strings} for every leaf command under `parser`."""
+    return {" ".join(words): {s for a in actions for s in a.option_strings}
+            for words, actions in _leaf_actions(parser).items()}
 
 
 class TestOptions:
@@ -654,6 +728,10 @@ DISPATCH_CORPUS = [
     ["geom", "--", "cap-area", "--theta", "1"], ["gap", "--snr=1", "--c0=1", "--format=csv"],
     # a valid parse whose command then fails
     ["gap", "--snr", "1", "--c0", "-1"],
+    # negative and empty values, which the quick path leaves to argparse
+    ["gap", "--snr", "-1e-3", "--c0", "1"], ["geom", "exponent", "--theta", "-.5", "--omega", "1"],
+    ["bounds-sweep", "--c0-min", "-1", "--c0-steps", "1"], ["gap", "--snr", "", "--c0", "1"],
+    ["geom", "cap-area", "--theta", "1", "--m", "-1"], ["gap", "--snr", "1", "--c0", "1", "--out", ""],
 ]
 
 
@@ -679,8 +757,9 @@ class TestDispatch:
 
     @pytest.mark.parametrize("command", LEAF_REQUESTS)
     def test_same_namespace_as_parser_tree(self, command):
+        # the quick path builds no argparse.Namespace; the attributes must match
         argv = _leaf_argv(command, 3)
-        assert cli._parse(argv) == build_parser().parse_args(argv)
+        assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv))
 
     def test_leaf_commands_skip_the_parser_tree(self, capsys, monkeypatch):
         def tree_parse(*args, **kwargs):
@@ -697,6 +776,99 @@ class TestDispatch:
         assert main() == EXIT_OK
         implicit = capsys.readouterr()
         assert (main(list(_GAP)), *capsys.readouterr()) == (EXIT_OK, *implicit)
+
+
+_LEAF_ACTIONS = _leaf_actions(build_parser())
+# values for each kind of flag: valid ones, then ones the parse must reject
+# or leave to argparse (negative, empty, not a number, not a choice)
+_GOOD_VALUES = {int: ["100", "7", "+5", " 5", "1_000"], float: ["1", "0.7", "1e-3", "70", "inf"],
+                None: ["out.json", "a b"]}
+_ODD_VALUES = {int: ["4.5", "x", "-3", "", "nan"], float: ["nan", "x", "-1", "-1e-3", "-.5", ""],
+               None: ["", "-", "--x"]}
+_NOISE = ["--", "-h", "--help", "--bogus", "extra", "-1", "-1e-3", "-.5", ""]
+
+
+def _flag_tokens(action, draw) -> list:
+    """One use of the flag: usually `option value`, sometimes an odd form."""
+    option = draw(st.sampled_from(action.option_strings))
+    if action.nargs == 0:
+        return [option]
+    odd = draw(st.integers(0, 5)) == 0
+    if action.choices:
+        value = draw(st.sampled_from(["ring"] if odd else list(action.choices)))
+    else:
+        value = draw(st.sampled_from((_ODD_VALUES if odd else _GOOD_VALUES)[action.type]))
+    form = draw(st.sampled_from(["plain"] * 12 + ["equals", "abbrev", "bare"]))
+    if form == "equals":
+        return [f"{option}={value}"]
+    if form == "abbrev":
+        return [option[:draw(st.integers(min(3, len(option) - 1), len(option) - 1))], value]
+    return [option] if form == "bare" else [option, value]
+
+
+@st.composite
+def leaf_argv(draw) -> list:
+    """argv for a random leaf command: often well formed, often not."""
+    words = draw(st.sampled_from(sorted(_LEAF_ACTIONS)))
+    actions = _LEAF_ACTIONS[words]
+    pieces = [_flag_tokens(a, draw) for a in actions if a.required and draw(st.integers(0, 19))]
+    pieces += [_flag_tokens(draw(st.sampled_from(actions)), draw)
+               for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.integers(0, 5)) == 0:
+        pieces.append([draw(st.sampled_from(_NOISE))])
+    return [*words, *(t for piece in draw(st.permutations(pieces)) for t in piece)]
+
+
+def _attributes(ns) -> dict:
+    """A namespace's attributes by repr, so that nan equals nan and -0.0 differs from 0.0."""
+    return {name: repr(value) for name, value in vars(ns).items()}
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """(namespace attributes or exit code, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = _attributes(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestQuickParse:
+    """The table-driven parse must agree with argparse on every argv."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(argv=leaf_argv())
+    @example(argv=["gap", "--snr", "1", "--c0", "1", "--snr", "2"])
+    @example(argv=["bounds-sweep", "--snr", "1", "--snr", "2", "--format", "csv"])
+    @example(argv=["geom", "shell-cap", "--theta", "1", "--deg", "--deg", "--omega", "2"])
+    @example(argv=["mc", "blowup", "--m", "5", "--theta", "1", "--set", "ring"])
+    @example(argv=["geom", "cap-intersect", "--theta", "1", "--theta2", "1", "--theta", "2"])
+    def test_same_outcome_as_argparse(self, argv):
+        expected = _parse_outcome(build_parser().parse_args, argv)
+        assert _parse_outcome(cli._parse, argv) == expected
+        quick = cli._quick_parse(list(argv))
+        if quick is not None:
+            assert _attributes(quick) == expected[0]
+
+    @pytest.mark.parametrize("command", LEAF_REQUESTS)
+    def test_well_formed_requests_take_the_quick_path(self, command):
+        for seed in range(5):
+            argv = _leaf_argv(command, seed)
+            assert vars(cli._quick_parse(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--snr", "1", "--c0", "1", "-h"], ["gap", "--snr=1", "--c0", "1"],
+        ["gap", "--sn", "1", "--c0", "1"], ["gap", "--snr", "-1", "--c0", "1"],
+        ["gap", "--snr", "1", "--c0", "1", "--"], ["gap", "--snr", "1"],
+        ["gap", "--snr", "x", "--c0", "1"], ["mc", "blowup", "--m", "5", "--theta", "1",
+                                             "--set", "ring"],
+        ["geom", "cap-area", "--theta"], ["geom", "cap-area", "--theta", "1", "extra"],
+        ["geom"], ["--format", "csv", "gap", "--snr", "1", "--c0", "1"], [],
+    ])
+    def test_other_argv_go_to_argparse(self, argv):
+        assert cli._quick_parse(argv) is None
 
 
 _IMPORT_PROBE = """
@@ -739,16 +911,33 @@ _QUADRATURE = [
 ]
 
 
-def _probe_imports(commands: list) -> list:
+_ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+
+import relaycap.cli
+seen = ["argparse" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            relaycap.cli.main(argv)
+        except SystemExit:
+            pass
+    seen.append("argparse" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def _probe_imports(commands: list, probe: str = _IMPORT_PROBE) -> list:
     """[exit code, numpy loaded, scipy modules] in one fresh interpreter after
-    `import relaycap`, after `import relaycap.cli` and after each command."""
+    `import relaycap`, after `import relaycap.cli` and after each command
+    (or what another `probe` script prints)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    probe = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+    run = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(commands)],
         capture_output=True, env=env, check=True, text=True,
     )
-    return json.loads(probe.stdout)
+    return json.loads(run.stdout)
 
 
 class TestImportFootprint:
@@ -787,3 +976,12 @@ class TestImportFootprint:
         for i, (argv, (_, numpy, _)) in enumerate(zip(names, steps, strict=True)):
             assert numpy == (i >= n_stdlib), argv
         assert all(numpy for _, numpy, _ in quadrature_steps)
+
+    def test_argparse_loaded_only_for_help_and_errors(self):
+        # well-formed requests are parsed from the flag table; the quadrature
+        # commands are left out, since scipy.integrate imports argparse itself
+        well_formed = _STDLIB_ONLY + _NUMPY_ONLY
+        seen = _probe_imports([*well_formed, ["-h"]], _ARGPARSE_PROBE)
+        assert seen == [False] * (1 + len(well_formed)) + [True]
+        bad_flag = ["gap", "--snr", "1", "--c0", "1", "--bogus"]
+        assert _probe_imports([bad_flag], _ARGPARSE_PROBE) == [False, True]

@@ -495,6 +495,30 @@ class TestShellCap:
         with pytest.raises(DomainError):
             ShellSpec(50, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n, delta", [(1e200, 0.1), (1.0, 1e-320), (1e10, 5e-324)])
+    def test_thin_shell_against_mpmath(self, n, delta):
+        # the two radii round to one float, so the radial factor, the integral
+        # of (r / base)^49 over [r_lower, r_upper], comes from delta / N
+        spec = ShellSpec(50, n, delta)
+        assert spec.r_upper == spec.r_lower
+
+        def radial(base_scale):
+            with mp.workdps(800):
+                N, d = mp.mpf(n), mp.mpf(delta)
+                r_lo, r_hi = mp.sqrt(50 * (N - d)), mp.sqrt(50 * (N + d))
+                base = mp.sqrt(50 * base_scale(N, d))
+                return float(mp.log(base / 50 * ((r_hi / base) ** 50 - (r_lo / base) ** 50), 2))
+
+        r_lo = spec.r_lower
+        cap = log_cap_area(CapSpec(50, r_lo, 1.0)).log2_value
+        inner = radial(lambda N, d: N - d)
+        assert log_shell_cap_volume(spec, 1.0).log2_value == pytest.approx(cap + inner, rel=1e-14)
+        sphere = log_sphere_area(50, r_lo).log2_value
+        assert log_shell_volume(spec).log2_value == pytest.approx(sphere + inner, rel=1e-14)
+        lens = log_cap_intersection(50, n, 1.0, 0.7).log2_value
+        exact = log_shellcap_intersection_bounds(spec, 1.0, 0.7).exact.log2_value
+        assert exact == pytest.approx(lens + radial(lambda N, d: N), rel=1e-14)
+
 
 class TestShellCapIntersection:
     def test_omega_hemisphere_halves_shell_cap(self):
