@@ -19,6 +19,11 @@ sup is 1/2 log2(1 + P (1 - c*) / (P + N)) with c* = P / ((P + N)(4^C0 - 1)
 + P), below C(inf) - C(0) exactly when c* > 0, i.e. at every finite C0.
 The certificate bisects a log1p-form finite difference.  No search is
 stochastic, so sweeps are exactly reproducible.
+
+Every rate depends on P and N only through the SNR s = P/N, so the
+formulas run at P = s, N = 1.  No intermediate such as 2(2P + N) then
+overflows where 2(2s + 1) does not, which ChannelParams checks, and at
+N = 1 the two are the same floats.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ def entropy_difference_bound(params: ChannelParams, theta: float, omega: float) 
     if not 0.0 < theta <= HALF_PI:
         raise DomainError(f"theta must lie in (0, pi/2], got {theta}")
     return _kernel_cos(
-        params.P, params.N, math.sin(theta), math.cos(theta),
+        params.P / params.N, 1.0, math.sin(theta), math.cos(theta),
         math.cos(omega), 2.0 * math.sin(omega / 2.0) ** 2,
     )
 
@@ -165,7 +170,7 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
                            "capacity_full_cooperation for the C0 = inf asymptote")
     if c0 < 0 or math.isnan(c0):
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
-    best = _outer_sup(params.P, params.N, c0)
+    best = _outer_sup(params.P / params.N, 1.0, c0)
     c_no_relay = capacity_no_relay(params)
     # the sup (at most 1/2) is good to a few eps, plus c* times the ~1.4 C0
     # eps relative error that expm1's rounded argument puts on 4^C0 - 1; the
@@ -226,7 +231,7 @@ def _certificate_may_bind(params: ChannelParams, c0: float, value: float) -> boo
     that estimate; where the guard reaches 1/2 (SNR below ~1e-13) the
     bisection always runs.
     """
-    P, N = params.P, params.N
+    P, N = params.P / params.N, 1.0
     guard = 1024.0 * _EPS * (2.0 * P + N) / P
     if not guard < 0.5:
         return True
@@ -263,7 +268,7 @@ def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
     """
     if not math.isfinite(c0) or c0 < 0:
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
-    P, N = params.P, params.N
+    P, N = params.P / params.N, 1.0
     deriv = P / ((2.0 * P + N) * LN2)
     sin0 = 2.0 ** (-c0)
     theta0 = math.asin(sin0)
@@ -312,9 +317,8 @@ def compress_forward_rate(params: ChannelParams, c0: float) -> float:
         return capacity_no_relay(params)
     if math.isinf(c0):
         return capacity_full_cooperation(params)
-    P, N = params.P, params.N
-    sigma2 = cf_quantization_variance(params, c0)
-    rate = 0.5 * math.log2(1.0 + P / N + P / (N + sigma2))
+    s = params.P / params.N
+    rate = 0.5 * math.log2(1.0 + s + s / (1.0 + _unit_cf_variance(s, c0)))
     # an achievable rate never exceeds the cut-set bound; in float the two
     # can cross by a few ulps where C0 is below C(0)'s resolution (e.g.
     # SNR 1000, C0 = 2^-52)
@@ -325,19 +329,23 @@ def cf_quantization_variance(params: ChannelParams, c0: float) -> float:
     """The sigma^2 solving the pipe-filling identity; exposed for oracle tests."""
     if not (math.isfinite(c0) and c0 > 0):
         raise DomainError(f"need finite C0 > 0, got {c0}")
-    P, N = params.P, params.N
+    return params.N * _unit_cf_variance(params.P / params.N, c0)
+
+
+def _unit_cf_variance(s: float, c0: float) -> float:
+    """sigma^2 / N = (2s + 1) / ((s + 1)(2^(2 C0) - 1)) at SNR s and finite C0 > 0."""
     try:
         # expm1 keeps 2^(2 C0) - 1 exact down to subnormal C0
         e = math.expm1(2.0 * c0 * LN2)
     except OverflowError:
         # 2^(2 C0) beyond float64 (C0 > 512): sigma^2 is below N's last ulp
         return 0.0
-    num, den = N * (2.0 * P + N), (P + N) * e
-    if num < math.inf and den < math.inf:
-        return num / den
-    # at huge SNR a product overflows while sigma^2 ~ 2N / (4^C0 - 1) still
+    den = (s + 1.0) * e
+    if den < math.inf:
+        return (2.0 * s + 1.0) / den
+    # at huge SNR the product overflows while sigma^2 ~ 2N / (4^C0 - 1) still
     # moves the rate (e.g. SNR 1e305, C0 = 10), so form the ratio first
-    return N * ((2.0 * P + N) / (P + N)) / e
+    return (2.0 * s + 1.0) / (s + 1.0) / e
 
 
 def sweep(params: ChannelParams, c0_grid: list[float]) -> list[tuple[float, float, float, float]]:

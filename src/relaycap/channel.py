@@ -27,13 +27,15 @@ class ChannelParams:
         for name, value in (("P", self.P), ("N", self.N)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
-        # the largest terms the capacities, bounds and certificate form; past
-        # them (SNR from 2^1022 ~ 4.5e307 at N = 1) a C(inf), a certified gap
-        # or a rate would come out infinite, zero or NaN
-        if not (2.0 * (2.0 * self.P + self.N) < math.inf and 2.0 * self.P / self.N < math.inf):
+        # every rate depends on P and N only through the SNR s = P/N, and the
+        # largest term the bounds form from it is 2(2s + 1); past that (s from
+        # 2^1022 ~ 4.5e307) a C(inf), a certified gap or a rate would come
+        # out infinite, zero or NaN, as they would where P/N underflows to 0
+        s = self.P / self.N
+        if not (s > 0.0 and 2.0 * (2.0 * s + 1.0) < math.inf):
             raise NumericalError(
-                f"SNR {self.P / self.N!r} (P={self.P!r}, N={self.N!r}) overflows 2P/N "
-                "or 2(2P + N) in float64"
+                f"SNR {s!r} (P={self.P!r}, N={self.N!r}) is out of float64 range: "
+                "P/N must be > 0 and 2(2 P/N + 1) finite"
             )
 
     @property
@@ -52,7 +54,7 @@ def capacity_no_relay(params: ChannelParams) -> float:
 
 def capacity_full_cooperation(params: ChannelParams) -> float:
     """C(inf) = 1/2 log2(1 + 2P/N), relay and destination fully cooperating."""
-    return 0.5 * math.log2(1.0 + 2.0 * params.P / params.N)
+    return 0.5 * math.log2(1.0 + 2.0 * (params.P / params.N))
 
 
 def cutset_c0_threshold(params: ChannelParams) -> float:
@@ -62,4 +64,5 @@ def cutset_c0_threshold(params: ChannelParams) -> float:
     not cancel at low SNR; the classical lower bound on the pipe rate needed
     to reach full cooperation.
     """
-    return 0.5 * math.log1p(params.P / (params.P + params.N)) / math.log(2.0)
+    s = params.P / params.N
+    return 0.5 * math.log1p(s / (s + 1.0)) / math.log(2.0)

@@ -439,10 +439,6 @@ _COMMANDS = {
 }
 _GROUP_HELP = {"geom": "log-domain geometry queries", "mc": "seeded Monte Carlo experiments"}
 
-# command words -> that command's argparse parser, filled by build_parser
-_LEAF_PARSERS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The relaycap argument parser, built from _COMMANDS once per process and shared.
@@ -471,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         for option, options in flags:
             p.add_argument(option, **options)
         p.set_defaults(func=func)
-        _LEAF_PARSERS[words] = p
     return parser
 
 
@@ -551,29 +546,11 @@ def _quick_parse(argv: list) -> SimpleNamespace | None:
 
 
 def _parse(argv: list):
-    """Parse argv: the quick path for a request in plain form, else argparse.
-
-    argparse parses argv with its command's own parser where it starts with
-    command words: the namespace starts as the parser tree leaves it for
-    that parser, and leftovers are reported by the root parser, as
-    parse_args does.  Other argv go through the parser tree.
-    """
+    """Parse argv: the quick path for a request in plain form, else argparse."""
     args = _quick_parse(argv)
     if args is not None:
         return args
-    import argparse
-
-    parser = build_parser()
-    words = tuple(argv[:2]) if tuple(argv[:2]) in _LEAF_PARSERS else tuple(argv[:1])
-    if words not in _LEAF_PARSERS:
-        return parser.parse_args(argv)
-    ns = argparse.Namespace(command=words[0])
-    if len(words) == 2:
-        setattr(ns, f"{words[0]}_command", words[1])
-    args, extras = _LEAF_PARSERS[words].parse_known_args(argv[len(words):], ns)
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -586,8 +586,12 @@ def _log2_shell_radial(spec: ShellSpec, base_R: float) -> float:
     if r_hi > r_lo or spec.delta == 0.0:
         return _log2_radial_integral(m, base_R, r_lo, r_hi)
     x = m * (spec.delta / spec.N)
-    log2_growth = math.log2(m) + math.log2(spec.delta) - math.log2(spec.N) + (
-        math.log2(math.expm1(x) / x) if x else 0.0)
+    if x < 1.0:
+        growth = math.log2(math.expm1(x) / x) if x else 0.0
+    else:
+        # expm1(x) overflows from x ~ 709.8 (m ~ 1e20 at delta/N = 1e-17)
+        growth = x / LN2 + math.log2(-math.expm1(-x)) - math.log2(x)
+    log2_growth = math.log2(m) + math.log2(spec.delta) - math.log2(spec.N) + growth
     return math.log2(base_R / m) + m * math.log2(r_lo / base_R) + log2_growth
 
 

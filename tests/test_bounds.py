@@ -348,10 +348,27 @@ class TestHugeSnr:
             assert abs(compress_forward_rate(p, c0) - rate) <= 4 * EPS * rate
         assert gap_certificate(p, c0).gap_lower_bound > 0
 
-    @pytest.mark.parametrize("P, N", [(1e308, 1.0), (2.0 ** 1022, 1.0), (1e300, 1e-10)])
+    @pytest.mark.parametrize("P, N", [
+        (1e308, 1.0), (2.0 ** 1022, 1.0), (1e300, 1e-10),
+        (1e-300, 1e300),  # P/N underflows to 0
+    ])
     def test_overflowing_snr_is_numerical(self, P, N):
         with pytest.raises(NumericalError, match="SNR"):
             ChannelParams(P, N)
+
+    @pytest.mark.parametrize("scale", [3e307, 1.7e308, 1e-300])
+    def test_only_the_snr_enters(self, scale):
+        # SNR 1 with P and N near float64's ends, where 2(2P + N) or 2P
+        # overflows: every rate equals SNR 1's at unit noise, bit for bit
+        big, unit = ChannelParams(scale, scale), ChannelParams.from_snr(1.0)
+        assert capacity_full_cooperation(big) == capacity_full_cooperation(unit)
+        assert entropy_difference_bound(big, 1.0, 1.2) == entropy_difference_bound(unit, 1.0, 1.2)
+        for c0 in (1.0, 4.0, 10.0):
+            assert capacity_upper_bound(big, c0) == capacity_upper_bound(unit, c0)
+            assert compress_forward_rate(big, c0) == compress_forward_rate(unit, c0)
+            assert gap_certificate(big, c0) == gap_certificate(unit, c0)
+            assert cf_quantization_variance(big, c0) == pytest.approx(
+                scale * cf_quantization_variance(unit, c0), rel=4 * EPS)
 
 
 class TestCompressForward:

@@ -746,7 +746,7 @@ def _outcome(capsys, argv) -> tuple:
 
 
 class TestDispatch:
-    """main parses a request with its command's own parser; every outcome
+    """main parses a well-formed request from the flag table; every outcome
     must equal that of the parser tree (build_parser().parse_args)."""
 
     @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)

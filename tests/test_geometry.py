@@ -519,6 +519,21 @@ class TestShellCap:
         exact = log_shellcap_intersection_bounds(spec, 1.0, 0.7).exact.log2_value
         assert exact == pytest.approx(lens + radial(lambda N, d: N), rel=1e-14)
 
+    def test_thin_shell_with_large_growth(self):
+        # m delta / N = 1000: the radii round together, and expm1(m delta / N)
+        # is beyond float64 while the measure's log is not
+        m, delta = 10 ** 20, 1e-17
+        spec = ShellSpec(m, 1.0, delta)
+        assert spec.r_upper == spec.r_lower
+        with mp.workdps(60):
+            d = mp.mpf(delta)
+            # (r_upper / r_lower)^m = ((1 + d) / (1 - d))^(m/2)
+            growth = mp.expm1(m / 2 * mp.log((1 + d) / (1 - d)))
+            r_lo = mp.sqrt(m * (1 - d))
+            inner = float(mp.log(r_lo / m * growth, 2))
+        cap = log_cap_area(CapSpec(m, spec.r_lower, 1.0)).log2_value
+        assert log_shell_cap_volume(spec, 1.0).log2_value == pytest.approx(cap + inner, rel=1e-14)
+
 
 class TestShellCapIntersection:
     def test_omega_hemisphere_halves_shell_cap(self):
