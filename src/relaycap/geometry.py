@@ -6,10 +6,16 @@ measure here is represented by its base-2 logarithm (see LogMeasure) and
 measures are combined with log-sum-exp instead of addition.
 
 Caps, bands, shells and balls are closed forms built on the regularized
-incomplete beta function.  Only the cap-intersection (lens) integral has
-none; it is evaluated by adaptive quadrature carried out in the log
-domain.  The tests keep a quadrature of the defining sin^k integrals and
-a high-precision mpmath evaluation as oracles for the closed forms.
+incomplete beta function, with one route per measure: every sin^k mass
+from a pole is `_log2_sin_integral_zero_to` and every equatorial band
+`_log2_band_mass`, both through the public incomplete beta, whose shape
+(front factor and continued-fraction tables) is cached per (a, b); every
+shell's radial factor, of the whole shell or a slice of its height, is
+`_log2_shell_radial`, one closed form in delta/N.  Only the
+cap-intersection (lens) integral has no closed form; it is evaluated by
+adaptive quadrature carried out in the log domain.  The tests keep a
+quadrature of the defining sin^k integrals and a high-precision mpmath
+evaluation as oracles for the closed forms.
 """
 
 from __future__ import annotations
@@ -234,8 +240,17 @@ def _beta_cf(a: float, b: float, x: float, table: list) -> float:
         table.extend(rows)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def _inc_beta_shape(a: float, b: float) -> tuple:
-    """(a, b, log2 B(a, b), switch point, _beta_cf tables for x and 1 - x)."""
+    """(a, b, log2 B(a, b), switch point, _beta_cf tables for x and 1 - x).
+
+    Cached per (a, b): the tables depend on the shape alone and grow as
+    deeper iterations are first needed, so every caller that evaluates one
+    shape shares them and gets the floats a fresh table would give.  The
+    key includes the argument types, so one caller's types (an int, a numpy
+    float) never reach another's results.  The cache is bounded, since a
+    table near the iteration cap holds 1000 rows.
+    """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"beta parameters must be > 0, got a={a}, b={b}")
     return a, b, _log2_beta_fn(a, b), (a + 1.0) / (a + b + 2.0), [], []
@@ -352,54 +367,38 @@ def _log2_quad(log2_f, a: float, b: float, peak_x: float, drop_bits: float = 70.
     return shift + math.log2(value)
 
 
-def _log2_sin_integral(k: int, theta: float, log2_b: float, log2_inc_beta, inc_beta) -> float:
+def _log2_sin_integral_zero_to(k: int, theta: float) -> float:
     """log2 of the integral of sin^k over [0, theta], via the closed beta form.
 
-    log2_b is log2 B((k+1)/2, 1/2), and log2_inc_beta(x) and inc_beta(x)
-    evaluate log2 I_x and I_x at that shape.  Below theta = 1e-150, where
-    sin^2 theta heads for underflow, it is the small-angle form
+    With B = B((k+1)/2, 1/2), the integral is (B/2) I_{sin^2 theta}((k+1)/2,
+    1/2) up to pi/2, and past it half of B plus the band [pi/2, theta],
+    (B/2)(1 + I_{cos^2 theta}(1/2, (k+1)/2)); neither argument is formed as
+    1 - x near the equator, where that would cancel.  Below theta = 1e-150,
+    where sin^2 theta heads for underflow, it is the small-angle form
     theta^(k+1) / (k+1), whose relative error ~k theta^2 is far below an ulp.
     """
     if theta <= 0.0:
         return -math.inf
     if theta < 1e-150:
         return (k + 1) * math.log2(theta) - math.log2(k + 1)
+    a = (k + 1) / 2.0
+    log2_b = _inc_beta_shape(a, 0.5)[2]
     if theta >= math.pi:
         return log2_b
     if theta <= math.pi / 2.0:
-        return log2_b - 1.0 + log2_inc_beta(math.sin(theta) ** 2)
-    # Complement stays in [B/2, B]; no underflow risk in linear space.
-    return log2_b + math.log2(1.0 - 0.5 * inc_beta(math.sin(math.pi - theta) ** 2))
+        return log2_b - 1.0 + log2_reg_inc_beta(math.sin(theta) ** 2, a, 0.5)
+    return log2_b - 1.0 + math.log1p(reg_inc_beta(math.cos(theta) ** 2, 0.5, a)) / LN2
 
 
-def _log2_sin_integral_zero_to(k: int, theta: float) -> float:
-    """log2 of the integral of sin^k over [0, theta], one evaluation."""
-    a = (k + 1) / 2.0
-    return _log2_sin_integral(
-        k,
-        theta,
-        _log2_beta_fn(a, 0.5),
-        lambda x: log2_reg_inc_beta(x, a, 0.5),
-        lambda x: reg_inc_beta(x, a, 0.5),
-    )
+def _log2_band_mass(m: int, w: float) -> float:
+    """log2 of the sin^(m-2) mass of the equatorial band [pi/2 - w, pi/2 + w].
 
-
-def _log2_sin_integral_from_zero(k: int):
-    """theta -> _log2_sin_integral_zero_to(k, theta), with the shape built once.
-
-    The incomplete beta's shape ((k+1)/2, 1/2) depends on k alone, so a
-    caller that sweeps theta (a bisection) builds it once; every value is
-    the float the one-shot form returns.
+    Substituting v = cos^2(rho) gives B(1/2, (m-1)/2) I_{sin^2 w}(1/2, (m-1)/2);
+    the incomplete beta's log form stays finite for bands far thinner than
+    the float spacing near pi/2.
     """
-    shape = _inc_beta_shape((k + 1) / 2.0, 0.5)
-
-    def log2_inc_beta(x: float) -> float:
-        return _log2_reg_inc_beta(x, shape)
-
-    def inc_beta(x: float) -> float:
-        return _reg_inc_beta(x, shape)
-
-    return lambda theta: _log2_sin_integral(k, theta, shape[2], log2_inc_beta, inc_beta)
+    b = (m - 1) / 2.0
+    return _inc_beta_shape(0.5, b)[2] + log2_reg_inc_beta(math.sin(w) ** 2, 0.5, b)
 
 
 # ---------------------------------------------------------------------------
@@ -551,48 +550,40 @@ def log_cap_intersection(m: int, n_scale: float, theta1: float, theta2: float) -
     return LogMeasure(value, MeasureKind.SURFACE_AREA, near_degenerate)
 
 
-def _log2_radial_integral(m: int, base_R: float, r_lo: float, r_hi: float) -> float:
-    """log2 of the integral of (r / base_R)^(m-1) dr over [r_lo, r_hi].
+def _log2_shell_radial(
+    spec: ShellSpec, base_R: float, f_lo: float = 0.0, f_hi: float = 1.0
+) -> float:
+    """log2 of the integral of (r / base_R)^(m-1) dr over a slice of the shell.
 
-    Robust for m log2(r/base_R) far beyond float range in either direction;
-    returns -inf for an empty radial interval.
+    The slice runs over the fractions [f_lo, f_hi] of the shell height.  With
+    t = delta/N, r_upper / r_lower = exp(atanh t), so the radius at fraction
+    f is r_lower e^L(f), L(f) = log1p(f expm1(atanh t)), and the integral is
+    (base_R/m) (r_lower/base_R)^m e^(m L(f_lo)) expm1(m (L(f_hi) - L(f_lo))).
+    L(f_hi) - L(f_lo) is taken as one log1p, and nothing is formed from the
+    rounded upper radius, so a shell of any thickness keeps its digits.
+    Below t = 1e-150, L(f) = f t to rounding, and log2 t is taken as log2
+    delta - log2 N, which stays finite where delta/N is subnormal or
+    underflows.  delta = 0 gives the -inf sentinel.
     """
-    if not r_hi > r_lo >= 0.0:
+    m = spec.m
+    if spec.delta == 0.0:
         return -math.inf
-    u = m * math.log2(r_hi / base_R)
-    low = m * math.log2(r_lo / base_R) if r_lo > 0 else -math.inf
-    # integral = base_R/m * ((r_hi/base_R)^m - (r_lo/base_R)^m)
-    diff_exp = low - u
-    if diff_exp < -1070:
-        tail = 0.0
+    t = spec.delta / spec.N
+    if t < 1e-150:
+        lead = m * f_lo * t
+        x = m * (f_hi - f_lo) * t
+        log2_x = math.log2(m * (f_hi - f_lo)) + math.log2(spec.delta) - math.log2(spec.N)
     else:
-        tail = 2.0 ** diff_exp
-    if tail >= 1.0:
-        return -math.inf
-    return math.log2(base_R / m) + u + math.log2(1.0 - tail)
-
-
-def _log2_shell_radial(spec: ShellSpec, base_R: float) -> float:
-    """log2 of the integral of (r / base_R)^(m-1) dr over the shell's radii.
-
-    Where delta > 0 but the two radii round to one float (delta/N below
-    ~1e-15), their powers would cancel to the -inf sentinel.  There the
-    integral is (base_R/m) (r_lower/base_R)^m expm1(m atanh t), t = delta/N,
-    since (r_upper/r_lower)^2 = (1 + t)/(1 - t); at such t, atanh(t) = t,
-    and log2 t is taken as log2 delta - log2 N, which stays finite where
-    delta is subnormal.  delta = 0 keeps the -inf sentinel.
-    """
-    m, r_lo, r_hi = spec.m, spec.r_lower, spec.r_upper
-    if r_hi > r_lo or spec.delta == 0.0:
-        return _log2_radial_integral(m, base_R, r_lo, r_hi)
-    x = m * (spec.delta / spec.N)
+        e = math.expm1(math.atanh(t))
+        lead = m * math.log1p(f_lo * e)
+        x = m * math.log1p((f_hi - f_lo) * e / (1.0 + f_lo * e))
+        log2_x = math.log2(x)
     if x < 1.0:
-        growth = math.log2(math.expm1(x) / x) if x else 0.0
+        growth = log2_x + (math.log2(math.expm1(x) / x) if x else 0.0)
     else:
-        # expm1(x) overflows from x ~ 709.8 (m ~ 1e20 at delta/N = 1e-17)
-        growth = x / LN2 + math.log2(-math.expm1(-x)) - math.log2(x)
-    log2_growth = math.log2(m) + math.log2(spec.delta) - math.log2(spec.N) + growth
-    return math.log2(base_R / m) + m * math.log2(r_lo / base_R) + log2_growth
+        # expm1(x) overflows from x ~ 709.8
+        growth = x / LN2 + math.log2(-math.expm1(-x))
+    return math.log2(base_R / m) + m * math.log2(spec.r_lower / base_R) + lead / LN2 + growth
 
 
 def log_shell_cap_volume(spec: ShellSpec, theta: float) -> LogMeasure:
@@ -607,18 +598,13 @@ def log_shell_cap_volume(spec: ShellSpec, theta: float) -> LogMeasure:
     if spec.delta >= spec.N:
         raise DomainError(f"delta must be < N, got {spec.delta} >= {spec.N}")
     r_lo = spec.r_lower
-    if spec.delta == 0.0:
-        return LogMeasure(-math.inf, MeasureKind.VOLUME)
-    radial = _log2_shell_radial(spec, r_lo)
     cap = log_cap_area(CapSpec(spec.m, r_lo, theta)).log2_value
-    return LogMeasure(cap + radial, MeasureKind.VOLUME)
+    return LogMeasure(cap + _log2_shell_radial(spec, r_lo), MeasureKind.VOLUME)
 
 
 def log_shell_volume(spec: ShellSpec) -> LogMeasure:
-    """Volume of the whole shell (difference of two ball volumes, log domain)."""
+    """Volume of the whole shell: the inner sphere's area times the radial integral."""
     r_lo = spec.r_lower
-    if spec.delta == 0.0:
-        return LogMeasure(-math.inf, MeasureKind.VOLUME)
     radial = _log2_shell_radial(spec, r_lo)
     return LogMeasure(log_sphere_area(spec.m, r_lo).log2_value + radial, MeasureKind.VOLUME)
 
@@ -672,14 +658,17 @@ def _log2_ball_volume(m: int, radius: float) -> float:
 def _log2_ball_cap_volume(m: int, radius: float, cos_theta: float) -> float:
     """log2 volume of the cap of an m-ball cut at distance radius*cos_theta.
 
-    cos_theta may be negative (cap larger than a half-ball).
+    cos_theta may be negative (cap larger than a half-ball): then the cap is
+    the half-ball plus a slab, (V/2)(1 + I_{cos^2 theta}(1/2, (m+1)/2)), as
+    for a sphere cap past pi/2 (see _log2_sin_integral_zero_to).
     """
     log2_ball = _log2_ball_volume(m, radius)
-    s2 = min(max(1.0 - cos_theta * cos_theta, 0.0), 1.0)
     a = (m + 1) / 2.0
     if cos_theta >= 0.0:
+        s2 = min(max(1.0 - cos_theta * cos_theta, 0.0), 1.0)
         return log2_ball - 1.0 + log2_reg_inc_beta(s2, a, 0.5)
-    return log2_ball + math.log2(1.0 - 0.5 * reg_inc_beta(s2, a, 0.5))
+    slab = reg_inc_beta(min(cos_theta * cos_theta, 1.0), 0.5, a)
+    return log2_ball - 1.0 + math.log1p(slab) / LN2
 
 
 def log_ball_intersection(spec: BallPairSpec) -> BallIntersection:

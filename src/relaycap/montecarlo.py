@@ -42,10 +42,8 @@ from . import geometry
 from .errors import DomainError, NumericalError, UnsupportedSet
 from .geometry import (
     ShellSpec,
-    _inc_beta_shape,
-    _log2_radial_integral,
-    _log2_reg_inc_beta,
-    _log2_sin_integral_from_zero,
+    _log2_band_mass,
+    _log2_shell_radial,
     _log2_sin_integral_zero_to,
     _logaddexp2,
 )
@@ -104,35 +102,16 @@ def _contains_polar(intervals, polar: np.ndarray) -> np.ndarray:
 
 def _solve_angle_for_mass(m: int, target_log2: float) -> float:
     """Cap angle whose sin^(m-2) mass equals target_log2 (bisection to 1e-12)."""
-    mass = _log2_sin_integral_from_zero(m - 2)
     lo, hi = 0.0, math.pi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mass(mid) < target_log2:
+        if _log2_sin_integral_zero_to(m - 2, mid) < target_log2:
             lo = mid
         else:
             hi = mid
         if hi - lo < 1e-13:
             break
     return 0.5 * (lo + hi)
-
-
-def _log2_band_mass_of(m: int):
-    """w -> log2 of the sin^(m-2) mass of the equatorial band [pi/2 - w, pi/2 + w].
-
-    Substituting v = cos^2(rho) gives B(1/2, (m-1)/2) I_{sin^2 w}(1/2, (m-1)/2);
-    the incomplete beta's log form stays finite for bands far thinner than
-    the float spacing near pi/2.  Its shape is built once, for a bisection
-    over w.
-    """
-    shape = _inc_beta_shape(0.5, (m - 1) / 2.0)
-    log2_beta = shape[2]
-    return lambda w: log2_beta + _log2_reg_inc_beta(math.sin(w) ** 2, shape)
-
-
-def _log2_band_mass(m: int, w: float) -> float:
-    """log2 of the sin^(m-2) mass of the band [pi/2 - w, pi/2 + w] (one-shot form)."""
-    return _log2_band_mass_of(m)(w)
 
 
 def _log2_interval_mass(m: int, lo: float, hi: float) -> float:
@@ -158,9 +137,8 @@ def _log2_interval_mass(m: int, lo: float, hi: float) -> float:
         cap_lo, cap_hi = (math.pi - hi) + _PI_LO, (math.pi - lo) + _PI_LO
     else:
         cap_lo, cap_hi = lo, hi
-    mass = _log2_sin_integral_from_zero(k)
-    outer = mass(cap_hi)
-    rest = -math.expm1((mass(cap_lo) - outer) * LN2)
+    outer = _log2_sin_integral_zero_to(k, cap_hi)
+    rest = -math.expm1((_log2_sin_integral_zero_to(k, cap_lo) - outer) * LN2)
     if rest >= 0.5:
         return outer + math.log2(rest)
     # Here hi <= 2 lo, so hi - lo is exact; cap_hi - cap_lo may not be.
@@ -240,11 +218,10 @@ class SphereSet:
         if not theta > 0.0:
             raise DomainError(f"band effective angle must be positive, got {theta}")
         target = _log2_sin_integral_zero_to(m - 2, theta)
-        band_mass = _log2_band_mass_of(m)
         ln_lo, ln_hi = math.log(HALF_PI) - 800.0, math.log(HALF_PI)
         for _ in range(120):
             ln_mid = 0.5 * (ln_lo + ln_hi)
-            if band_mass(math.exp(ln_mid)) < target:
+            if _log2_band_mass(m, math.exp(ln_mid)) < target:
                 ln_lo = ln_mid
             else:
                 ln_hi = ln_mid
@@ -298,40 +275,40 @@ class SphereSet:
 
 @dataclass(eq=False)
 class ShellSet:
-    """An axially symmetric angular set extruded over a radial sub-interval."""
+    """An axially symmetric angular set extruded over a slice of a shell.
+
+    The slice runs over the fractions [frac_lo, frac_hi] of the shell
+    height, measured from the inner radius.
+    """
 
     spec: ShellSpec
     angular: SphereSet
-    r_lo: float
-    r_hi: float
+    frac_lo: float
+    frac_hi: float
 
     def __post_init__(self) -> None:
         if self.angular.m != self.spec.m:
             raise DomainError("angular set dimension must match the shell dimension")
-        if not self.spec.r_lower <= self.r_lo < self.r_hi <= self.spec.r_upper:
+        if not 0.0 <= self.frac_lo < self.frac_hi <= 1.0:
             raise DomainError(
-                f"radial interval [{self.r_lo}, {self.r_hi}] must lie inside "
-                f"[{self.spec.r_lower}, {self.spec.r_upper}]"
+                f"need 0 <= frac_lo < frac_hi <= 1, got {self.frac_lo}, {self.frac_hi}"
             )
+        if self.spec.delta == 0.0:
+            raise DomainError("a shell set needs a shell of positive thickness, got delta = 0")
 
     @classmethod
     def extruded(
         cls, spec: ShellSpec, angular: SphereSet, frac_lo: float = 0.0, frac_hi: float = 1.0
     ) -> "ShellSet":
         """Extrude an angular set over a fractional slice of the shell height."""
-        if not 0.0 <= frac_lo < frac_hi <= 1.0:
-            raise DomainError(f"need 0 <= frac_lo < frac_hi <= 1, got {frac_lo}, {frac_hi}")
-        height = spec.r_upper - spec.r_lower
-        return cls(
-            spec, angular, spec.r_lower + frac_lo * height, spec.r_lower + frac_hi * height
-        )
+        return cls(spec, angular, frac_lo, frac_hi)
 
     @property
     def base_radius(self) -> float:
         return math.sqrt(self.spec.m * self.spec.N)
 
     def log2_radial_part(self) -> float:
-        return _log2_radial_integral(self.spec.m, self.base_radius, self.r_lo, self.r_hi)
+        return _log2_shell_radial(self.spec, self.base_radius, self.frac_lo, self.frac_hi)
 
     def log2_volume(self) -> float:
         front = geometry._log2_cap_front(self.spec.m, self.base_radius)
@@ -340,9 +317,7 @@ class ShellSet:
     @property
     def effective_theta(self) -> float:
         """Angle theta with |self| = |ShellCap(theta)| over the full shell."""
-        radial_full = _log2_radial_integral(
-            self.spec.m, self.base_radius, self.spec.r_lower, self.spec.r_upper
-        )
+        radial_full = _log2_shell_radial(self.spec, self.base_radius)
         target = (
             self.angular.log2_angular_mass() + self.log2_radial_part() - radial_full
         )

@@ -542,6 +542,17 @@ class TestNScale:
         assert code == EXIT_OK
         assert json.loads(out)["rows"][0]["log2_measure"] == -math.inf
 
+    def test_thin_shell_isoperimetry_gives_a_verdict(self, capsys):
+        # at N = 1e300 the radii sqrt(m (N -+ delta)) round to one float; the
+        # shell set is a slice of the shell height in fractions, so the
+        # request is valid and ends in a verdict (it exited 2 when the slice
+        # was stored as two float radii)
+        code, out, err = run_cli(capsys, "mc", "isoperimetry-shell", "--m", "100",
+                                 "--theta", "70", "--omega", "35", "--deg",
+                                 "--n-scale", "1e300", "--trials", "50", "--samples", "2000")
+        assert code in (EXIT_OK, EXIT_MC_FAIL, EXIT_MC_INCONCLUSIVE), err
+        assert json.loads(out)["rows"][0]["n_used"] == 50
+
     @pytest.mark.parametrize("query", [["cap-area", "--theta", "1"],
                                        ["cap-intersect", "--theta", "1.2", "--theta2", "0.7"]])
     def test_overflowing_scale_shifts_measure(self, capsys, query):

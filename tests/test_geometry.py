@@ -210,6 +210,33 @@ class TestRegIncBeta:
             assert outcome == _bits(frozen, x, a, b)
             assert outcome[0] in ("NumericalError", "DomainError")
 
+    def test_cached_shape_gives_frozen_floats(self):
+        # One shape's continued-fraction tables are shared by every x and grow
+        # as deeper rows are first needed; in whatever order the x values
+        # come, and after the shape is evicted and rebuilt, each value keeps
+        # the bits of a fresh table.
+        cache = geometry._inc_beta_shape
+        a, b = 499.5, 0.5
+        switch = (a + 1.0) / (a + b + 2.0)
+        xs = [1e-3, 0.9, math.nextafter(switch, 0.0), switch, math.nextafter(switch, 1.0),
+              0.9999, 0.999999999]
+
+        def check(order):
+            for x in order:
+                assert _bits(reg_inc_beta, x, a, b) == _bits(reg_inc_beta_frozen, x, a, b)
+                assert _bits(log2_reg_inc_beta, x, a, b) == _bits(
+                    log2_reg_inc_beta_frozen, x, a, b)
+
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 1024
+        cache.cache_clear()
+        check(xs)
+        for i in range(maxsize):
+            cache(1.0 + i, 2.0)
+        misses = cache.cache_info().misses
+        check(reversed(xs))
+        assert cache.cache_info().misses == misses + 1
+
     def test_log2_deep_tail_against_mpmath(self):
         # Values like 2^-806 underflow float64; the log route stays exact.
         mp.mp.dps = 400
@@ -266,9 +293,26 @@ class TestCapArea:
     @settings(max_examples=300, deadline=None)
     @given(m=st.integers(3, 5000), theta=st.floats(0.0, math.pi, exclude_min=True,
                                                     exclude_max=True))
+    # 1e-9 past the equator: the complement 1 - I/2 at sin^2 theta cancelled,
+    # and the cap read the hemisphere plus 1.9e-12 bits instead of 6.3e-8
+    @example(m=3000, theta=1.5707963277948966)
     def test_against_mpmath_oracle(self, m, theta):
         v = log_cap_area(CapSpec(m, 1.0, theta)).log2_value
         assert abs(v - log2_cap_area_mpmath(m, 1.0, theta)) <= 1e-12 * max(1.0, abs(v))
+
+    @pytest.mark.parametrize("m, theta", [
+        (3000, 1.5707963277948966), (152, HALF_PI + 3.7e-7), (5000, HALF_PI + 1e-8),
+        (40, HALF_PI + 1e-4), (300, 2.0), (7, 3.0),
+    ])
+    def test_excess_over_hemisphere_against_mpmath(self, m, theta):
+        # past pi/2 the cap is the hemisphere plus the band [pi/2, theta], so
+        # log2(cap / hemisphere) = log2(1 + I_{cos^2 theta}(1/2, (m-1)/2))
+        with mp.workdps(40):
+            a = mp.mpf(m - 1) / 2
+            band = mp.betainc(mp.mpf(1) / 2, a, 0, mp.cos(mp.mpf(theta)) ** 2, regularized=True)
+            excess = float(mp.log(1 + band, 2))
+        got = _log2_sin_integral_zero_to(m - 2, theta) - _log2_sin_integral_zero_to(m - 2, HALF_PI)
+        assert got == pytest.approx(excess, rel=1e-10)
 
     def test_complementarity(self):
         # cap(theta) + cap(pi - theta) = sphere, checked in linear space after
@@ -495,12 +539,16 @@ class TestShellCap:
         with pytest.raises(DomainError):
             ShellSpec(50, 1.0, 1.0)
 
-    @pytest.mark.parametrize("n, delta", [(1e200, 0.1), (1.0, 1e-320), (1e10, 5e-324)])
+    # In the first three the two radii round to one float; in the last three
+    # they are ~1, ~800 and ~8e5 ulps apart, and a radial factor formed from
+    # the rounded radii read 1.15 bits (1e-16), 1.15e-3 bits (1e-13) and
+    # 1.2e-7 bits (1e-10) high.
+    @pytest.mark.parametrize("n, delta", [
+        (1e200, 0.1), (1.0, 1e-320), (1e10, 5e-324), (1.0, 1e-16), (1.0, 1e-13), (1.0, 1e-10),
+    ])
     def test_thin_shell_against_mpmath(self, n, delta):
-        # the two radii round to one float, so the radial factor, the integral
-        # of (r / base)^49 over [r_lower, r_upper], comes from delta / N
+        # the radial factor is the integral of (r / base)^49 over [r_lower, r_upper]
         spec = ShellSpec(50, n, delta)
-        assert spec.r_upper == spec.r_lower
 
         def radial(base_scale):
             with mp.workdps(800):
@@ -568,6 +616,20 @@ class TestShellCapIntersection:
 
 
 class TestBallIntersection:
+    @pytest.mark.parametrize("m", [50, 3000])
+    @pytest.mark.parametrize("cos_theta", [-1e-9, -1e-7, -1e-3, -0.5])
+    def test_cap_past_half_ball_against_mpmath(self, m, cos_theta):
+        # a cap past the half-ball is the half-ball plus a slab, so
+        # log2(cap / half-ball) = log2(1 + I_{cos^2 theta}(1/2, (m+1)/2)); the
+        # complement 1 - I/2 at sin^2 theta read 0 at m = 3000, cos = -1e-9
+        with mp.workdps(40):
+            a = mp.mpf(m + 1) / 2
+            slab = mp.betainc(mp.mpf(1) / 2, a, 0, mp.mpf(cos_theta) ** 2, regularized=True)
+            excess = float(mp.log(1 + slab, 2))
+        half = geometry._log2_ball_cap_volume(m, 1.0, 0.0)
+        got = geometry._log2_ball_cap_volume(m, 1.0, cos_theta) - half
+        assert got == pytest.approx(excess, rel=1e-10)
+
     def test_lambda_symmetric_case(self):
         assert ball_overlap_lambda(BallPairSpec(10, 1.0, 1.0, 1.0)) == 1.5
 

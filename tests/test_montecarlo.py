@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,11 +28,10 @@ from relaycap import (
     verify_isoperimetry_shell,
     verify_isoperimetry_sphere,
 )
-from relaycap.geometry import _log2_sin_integral_zero_to, reg_inc_beta
+from relaycap.geometry import _log2_band_mass, _log2_sin_integral_zero_to, reg_inc_beta
 from relaycap.montecarlo import (
     HALF_PI,
     _end_cosines,
-    _log2_band_mass,
     _polar_cosines,
     _reachable_w_ranges,
     _u_range,
@@ -182,9 +182,11 @@ class TestSphereSet:
     )
     # [pi - 5e-4, pi] at m = 5000: mirrored at the float pi, the closed form
     # dropped the sliver pi - fl(pi) and read 1.2e-9 low; and an "interval"
-    # whose unclamped hi rounds past pi.
+    # whose unclamped hi rounds past pi; and the cap [0, pi/2 + 3.7e-7], 1.0019e-9
+    # off while its part past pi/2 was formed as 1 - x, x = sin^2 theta.
     @example(m=5000, shape="band", p=1.0, q=0.0)
     @example(m=4, shape="interval", p=0.125, q=1.0)
+    @example(m=152, shape="band", p=1.192092896e-07, q=1.0)
     def test_mass_closed_form_matches_quadrature(self, m, shape, p, q):
         # Every interval is at least 1e-3 wide, up to a clamp at pi.  A band is
         # centred anywhere, so it may reach a pole, cross the equator or lie on
@@ -722,9 +724,30 @@ class TestShellSet:
         assert s.effective_theta > deg(45)
 
     def test_radial_interval_validation(self):
+        # the slice [-0.1, 1] of the shell height starts below the inner radius
         spec = ShellSpec(50, 1.0, 0.1)
         with pytest.raises(DomainError):
-            ShellSet(spec, SphereSet.cap(50, 1.0), spec.r_lower - 1.0, spec.r_upper)
+            ShellSet(spec, SphereSet.cap(50, 1.0), -0.1, 1.0)
+
+    @pytest.mark.parametrize("m", [50, 5000])
+    @pytest.mark.parametrize("frac_lo, frac_hi", [(0.0, 1.0), (0.0, 0.1), (0.3, 0.7)])
+    @pytest.mark.parametrize("delta", [5e-324, 1e-310, 1e-200, 1e-17, 1e-16, 1e-13, 1e-8,
+                                       1e-3, 0.1, 0.5])
+    def test_slice_radial_part_against_mpmath(self, m, frac_lo, frac_hi, delta):
+        # the integral of (r / base)^(m-1) over the slice from r_lower + f_lo h
+        # to r_lower + f_hi h, h = r_upper - r_lower, base = sqrt(m N), N = 1;
+        # from 1e-16 down the radii are a few ulps apart or one float.  The
+        # error allowed is a few rounding errors of the terms the value is
+        # built from, m log2(r_lower / base) and the value itself.
+        s = ShellSet.extruded(ShellSpec(m, 1.0, delta), SphereSet.cap(m, 1.0), frac_lo, frac_hi)
+        with mp.workdps(800):
+            d = mp.mpf(delta)
+            r_lo, r_hi = mp.sqrt(m * (1 - d)), mp.sqrt(m * (1 + d))
+            a = r_lo + mp.mpf(frac_lo) * (r_hi - r_lo)
+            b = r_lo + mp.mpf(frac_hi) * (r_hi - r_lo)
+            base = mp.sqrt(m)
+            ref = float(mp.log(base / m * ((b / base) ** m - (a / base) ** m), 2))
+        assert abs(s.log2_radial_part() - ref) <= 8 * 2.0**-52 * (m + abs(ref))
 
 
 class TestConcentration:
