@@ -313,9 +313,7 @@ def _mc_isoperimetry_shell(args, cfg) -> tuple[dict, McReport]:
     from . import montecarlo
 
     spec = geometry.ShellSpec(args.m, args.n_scale, args.delta)
-    shell_set = montecarlo.ShellSet.extruded(
-        spec, _sphere_set(args), args.extrude_lo, args.extrude_hi
-    )
+    shell_set = montecarlo.ShellSet(spec, _sphere_set(args), args.extrude_lo, args.extrude_hi)
     omega = _angle(args.omega, args)
     report = montecarlo.verify_isoperimetry_shell(shell_set, omega, cfg)
     return {"m": args.m, "n_scale": args.n_scale, "delta": args.delta, "set": args.set,

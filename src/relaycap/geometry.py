@@ -8,8 +8,8 @@ measures are combined with log-sum-exp instead of addition.
 Caps, bands, shells and balls are closed forms built on the regularized
 incomplete beta function, with one route per measure: every sin^k mass
 from a pole is `_log2_sin_integral_zero_to` and every equatorial band
-`_log2_band_mass`, both through the public incomplete beta, whose shape
-(front factor and continued-fraction tables) is cached per (a, b); every
+`_log2_band_mass`, both through the incomplete beta, whose shape (front
+factor and continued-fraction tables) is cached per (a, b); every
 shell's radial factor, of the whole shell or a slice of its height, is
 `_log2_shell_radial`, one closed form in delta/N.  Only the
 cap-intersection (lens) integral has no closed form; it is evaluated by
@@ -397,8 +397,8 @@ def _log2_band_mass(m: int, w: float) -> float:
     the incomplete beta's log form stays finite for bands far thinner than
     the float spacing near pi/2.
     """
-    b = (m - 1) / 2.0
-    return _inc_beta_shape(0.5, b)[2] + log2_reg_inc_beta(math.sin(w) ** 2, 0.5, b)
+    shape = _inc_beta_shape(0.5, (m - 1) / 2.0)
+    return shape[2] + _log2_reg_inc_beta(math.sin(w) ** 2, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +576,14 @@ def _log2_shell_radial(
     else:
         e = math.expm1(math.atanh(t))
         lead = m * math.log1p(f_lo * e)
-        x = m * math.log1p((f_hi - f_lo) * e / (1.0 + f_lo * e))
-        log2_x = math.log2(x)
+        y = (f_hi - f_lo) * e / (1.0 + f_lo * e)
+        x = m * math.log1p(y)
+        if y < 1e-300:
+            # y may be subnormal or 0: take log2 x from its factors
+            log2_x = (math.log2(m) + math.log2(f_hi - f_lo) + math.log2(e)
+                      - math.log2(1.0 + f_lo * e))
+        else:
+            log2_x = math.log2(x)
     if x < 1.0:
         growth = log2_x + (math.log2(math.expm1(x) / x) if x else 0.0)
     else:

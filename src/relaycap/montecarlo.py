@@ -283,8 +283,8 @@ class ShellSet:
 
     spec: ShellSpec
     angular: SphereSet
-    frac_lo: float
-    frac_hi: float
+    frac_lo: float = 0.0
+    frac_hi: float = 1.0
 
     def __post_init__(self) -> None:
         if self.angular.m != self.spec.m:
@@ -295,13 +295,6 @@ class ShellSet:
             )
         if self.spec.delta == 0.0:
             raise DomainError("a shell set needs a shell of positive thickness, got delta = 0")
-
-    @classmethod
-    def extruded(
-        cls, spec: ShellSpec, angular: SphereSet, frac_lo: float = 0.0, frac_hi: float = 1.0
-    ) -> "ShellSet":
-        """Extrude an angular set over a fractional slice of the shell height."""
-        return cls(spec, angular, frac_lo, frac_hi)
 
     @property
     def base_radius(self) -> float:

@@ -207,8 +207,8 @@ def test_10_random_cap_intersection_property():
         ok &= rep.estimate >= 0.9
     spec = ShellSpec(200, 1.0, 0.1)
     for name, shell_set in {
-        "shell": ShellSet.extruded(spec, SphereSet.cap(200, deg(70))),
-        "shell-inner": ShellSet.extruded(spec, SphereSet.cap(200, deg(70)), 0.0, 0.1),
+        "shell": ShellSet(spec, SphereSet.cap(200, deg(70))),
+        "shell-inner": ShellSet(spec, SphereSet.cap(200, deg(70)), 0.0, 0.1),
     }.items():
         rep = verify_isoperimetry_shell(shell_set, deg(35), cfg)
         fractions[name] = rep.estimate

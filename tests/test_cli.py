@@ -553,6 +553,16 @@ class TestNScale:
         assert code in (EXIT_OK, EXIT_MC_FAIL, EXIT_MC_INCONCLUSIVE), err
         assert json.loads(out)["rows"][0]["n_used"] == 50
 
+    def test_underflowing_slice_is_invalid_input(self, capsys):
+        # the slice [0, 1e-323] of a delta = 0.1 shell: its fraction times
+        # expm1(atanh delta) rounds to 0, yet its volume stays finite and so
+        # small that the matching cap is far below pi/2 - omega
+        code, _, err = run_cli(capsys, "mc", "isoperimetry-shell", "--m", "100",
+                               "--theta", "70", "--omega", "35", "--deg", "--delta", "0.1",
+                               "--extrude-lo", "0", "--extrude-hi", "1e-323")
+        assert code == EXIT_USAGE
+        assert err.startswith("invalid input: need theta + omega > pi/2")
+
     @pytest.mark.parametrize("query", [["cap-area", "--theta", "1"],
                                        ["cap-intersect", "--theta", "1.2", "--theta2", "0.7"]])
     def test_overflowing_scale_shifts_measure(self, capsys, query):

@@ -252,7 +252,7 @@ class TestSphereSet:
         }[shape]
         s = make(m, deg(theta_deg))
         if frac is not None:
-            s = ShellSet.extruded(ShellSpec(m, 1.0, 0.1), s, 0.0, frac)
+            s = ShellSet(ShellSpec(m, 1.0, 0.1), s, 0.0, frac)
         assert s.effective_theta.hex() == theta_hex
 
     @pytest.mark.parametrize("m", [4, 20, 120, 300, 440, 460, 500, 1000, 3000])
@@ -633,7 +633,7 @@ def _iso_case(draw):
         s = SphereSet(m, ivs)
     shell = draw(st.booleans())
     if shell:
-        s = ShellSet.extruded(ShellSpec(m, 1.0, 0.1), s, 0.0, draw(st.sampled_from([1.0, 0.1])))
+        s = ShellSet(ShellSpec(m, 1.0, 0.1), s, 0.0, draw(st.sampled_from([1.0, 0.1])))
     # omega in (pi/2 - theta, pi/2] when theta <= pi/2, so most cases run
     theta_eff = s.effective_theta
     omega = HALF_PI - min(theta_eff, HALF_PI) * draw(st.floats(0.0, 0.95))
@@ -655,7 +655,7 @@ class TestTrialRoute:
     def test_one_stream_per_request(self):
         cfg = McConfig(seed=3, samples_per_estimate=50, trials=5, epsilon=0.1)
         cap = SphereSet.cap(40, deg(70))
-        shell = ShellSet.extruded(ShellSpec(40, 1.0, 0.1), cap)
+        shell = ShellSet(ShellSpec(40, 1.0, 0.1), cap)
         calls = [
             lambda: verify_concentration(40, 0.3, cfg),
             lambda: verify_blowup(cap, cfg),
@@ -689,7 +689,7 @@ class TestTrialRoute:
         # set raises, and both routes must stop at the same trial.
         s = SphereSet.cap(m, deg(89))  # about half of the poles lie inside
         if shell:
-            s = ShellSet.extruded(ShellSpec(m, 1.0, 0.1), s)
+            s = ShellSet(ShellSpec(m, 1.0, 0.1), s)
         cfg = McConfig(seed=seed, samples_per_estimate=50, trials=30, epsilon=0.1)
         reach = montecarlo._reachable_w_ranges
         outcomes = []
@@ -711,7 +711,7 @@ class TestTrialRoute:
 class TestShellSet:
     def test_full_extrusion_volume_matches_shell_cap(self):
         spec = ShellSpec(80, 1.0, 0.1)
-        s = ShellSet.extruded(spec, SphereSet.cap(80, deg(40)))
+        s = ShellSet(spec, SphereSet.cap(80, deg(40)))
         assert s.log2_volume() == pytest.approx(
             log_shell_cap_volume(spec, deg(40)).log2_value, abs=1e-9
         )
@@ -719,7 +719,7 @@ class TestShellSet:
 
     def test_partial_extrusion_shrinks_effective_angle(self):
         spec = ShellSpec(200, 1.0, 0.1)
-        s = ShellSet.extruded(spec, SphereSet.cap(200, deg(70)), 0.0, 0.1)
+        s = ShellSet(spec, SphereSet.cap(200, deg(70)), 0.0, 0.1)
         assert s.effective_theta < deg(70)
         assert s.effective_theta > deg(45)
 
@@ -730,16 +730,18 @@ class TestShellSet:
             ShellSet(spec, SphereSet.cap(50, 1.0), -0.1, 1.0)
 
     @pytest.mark.parametrize("m", [50, 5000])
-    @pytest.mark.parametrize("frac_lo, frac_hi", [(0.0, 1.0), (0.0, 0.1), (0.3, 0.7)])
+    @pytest.mark.parametrize("frac_lo, frac_hi", [(0.0, 1.0), (0.0, 0.1), (0.3, 0.7),
+                                                  (0.0, 1e-323)])
     @pytest.mark.parametrize("delta", [5e-324, 1e-310, 1e-200, 1e-17, 1e-16, 1e-13, 1e-8,
                                        1e-3, 0.1, 0.5])
     def test_slice_radial_part_against_mpmath(self, m, frac_lo, frac_hi, delta):
         # the integral of (r / base)^(m-1) over the slice from r_lower + f_lo h
         # to r_lower + f_hi h, h = r_upper - r_lower, base = sqrt(m N), N = 1;
-        # from 1e-16 down the radii are a few ulps apart or one float.  The
+        # from 1e-16 down the radii are a few ulps apart or one float, and
+        # the slice [0, 1e-323] underflows f_hi expm1(atanh delta).  The
         # error allowed is a few rounding errors of the terms the value is
         # built from, m log2(r_lower / base) and the value itself.
-        s = ShellSet.extruded(ShellSpec(m, 1.0, delta), SphereSet.cap(m, 1.0), frac_lo, frac_hi)
+        s = ShellSet(ShellSpec(m, 1.0, delta), SphereSet.cap(m, 1.0), frac_lo, frac_hi)
         with mp.workdps(800):
             d = mp.mpf(delta)
             r_lo, r_hi = mp.sqrt(m * (1 - d)), mp.sqrt(m * (1 + d))
@@ -851,20 +853,20 @@ class TestIsoperimetryShell:
 
     def test_extruded_cap_passes(self):
         spec = ShellSpec(200, 1.0, 0.1)
-        s = ShellSet.extruded(spec, SphereSet.cap(200, deg(70)))
+        s = ShellSet(spec, SphereSet.cap(200, deg(70)))
         rep = verify_isoperimetry_shell(s, deg(35), self.CFG)
         assert rep.verdict is Verdict.PASS
 
     def test_inner_slab_adversary_passes(self):
         spec = ShellSpec(200, 1.0, 0.1)
-        s = ShellSet.extruded(spec, SphereSet.cap(200, deg(70)), 0.0, 0.1)
+        s = ShellSet(spec, SphereSet.cap(200, deg(70)), 0.0, 0.1)
         rep = verify_isoperimetry_shell(s, deg(35), self.CFG)
         assert rep.verdict is Verdict.PASS
 
     def test_thin_shell_matches_sphere_variant(self):
         m = 80
         spec = ShellSpec(m, 1.0, 1e-6)
-        s = ShellSet.extruded(spec, SphereSet.cap(m, deg(70)))
+        s = ShellSet(spec, SphereSet.cap(m, deg(70)))
         shell_rep = verify_isoperimetry_shell(s, deg(35), self.CFG)
         sphere_rep = verify_isoperimetry_sphere(SphereSet.cap(m, deg(70)), deg(35), self.CFG)
         tol = 2 * (shell_rep.std_error + sphere_rep.std_error) + 1e-12

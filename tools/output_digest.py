@@ -1,6 +1,6 @@
 """Compare what two relaycap source trees print for the benchmark's requests.
 
-    python3 tools/output_digest.py OLD_TREE NEW_TREE [--mc-seeds 1 2] [--max-show 50]
+    python3 tools/output_digest.py OLD_TREE NEW_TREE [--mc-seeds 1 2]
 
 The requests are every argv of `perfbench/reference.json` (the `curves` and
 `geom` pools) and the `mc` requests that `perfbench/workloads.py` draws for
@@ -111,8 +111,6 @@ def main(argv=None) -> int:
     ap.add_argument("old_tree")
     ap.add_argument("new_tree")
     ap.add_argument("--mc-seeds", type=int, nargs="*", default=[1, 2])
-    ap.add_argument("--max-show", type=int, default=50,
-                    help="differing argv printed per group (default 50)")
     args = ap.parse_args(argv)
 
     reqs = _requests(args.mc_seeds)
@@ -127,7 +125,7 @@ def main(argv=None) -> int:
         differ += len(moved)
         print(f"{group}: {len(rows)} requests, {len(rows) - len(moved)} identical, "
               f"{len(moved)} differ")
-        for a, o, n in moved[:args.max_show]:
+        for a, o, n in moved:
             moves = _moves(o[2], n[2]) if o[1] == n[1] else None
             note = "".join(f"; {p[-1]} {m:.3g}" for p, m in (moves or {}).items())
             print(f"  exit {o[1]} -> {n[1]}{note}: {' '.join(a)}")
