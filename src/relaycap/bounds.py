@@ -47,7 +47,7 @@ class GapCertificate:
     delta1 is a backward step from omega = pi/2 at which the finite
     difference of the kernel matches its derivative to within 50%, giving
     the strict bound  C(C0) <= C(inf) - gap_lower_bound  with
-    gap_lower_bound = P * delta1 / (2 (2P+N) ln 2) > 0.
+    gap_lower_bound = s delta1 / (2 (2s + 1) ln 2) > 0 at SNR s = P/N.
     """
 
     theta0: float
@@ -62,10 +62,10 @@ class GapCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_cos(P: float, N: float, s: float, co: float, c: float, one_minus_c: float) -> float:
-    """Kernel at sin(theta) = s, cos(theta) = co and cos(omega) = c.
+def _kernel_cos(P: float, s: float, co: float, c: float, one_minus_c: float) -> float:
+    """Kernel at SNR P (unit noise), sin(theta) = s, cos(theta) = co and cos(omega) = c.
 
-    The kernel is 1/2 log2[(1-c)(2P+N+Nc) s^2 / ((P+N)(s - c)(s + c))].
+    The kernel is 1/2 log2[(1-c)(2P+1+c) s^2 / ((P+1)(s - c)(s + c))].
     1 - c is passed in separately so callers can form it without
     cancellation; s - c is taken directly where s < co and as
     (1 - c) - (1 - s) = (1 - c) - co^2/(1 + s) otherwise, so it keeps full
@@ -79,7 +79,7 @@ def _kernel_cos(P: float, N: float, s: float, co: float, c: float, one_minus_c: 
             "omega outside the open interval (pi/2 - theta, pi/2]: "
             f"sin^2(theta) - cos^2(omega) <= 0 at sin(theta)={s}, cos(omega)={c}"
         )
-    x = one_minus_c * (2.0 * P + N + N * c) / (P + N) * (s / s_minus_c) * (s / (s + c))
+    x = one_minus_c * (2.0 * P + 1.0 + c) / (P + 1.0) * (s / s_minus_c) * (s / (s + c))
     return 0.5 * math.log2(x)
 
 
@@ -95,7 +95,7 @@ def entropy_difference_bound(params: ChannelParams, theta: float, omega: float) 
     if not 0.0 < theta <= HALF_PI:
         raise DomainError(f"theta must lie in (0, pi/2], got {theta}")
     return _kernel_cos(
-        params.P / params.N, 1.0, math.sin(theta), math.cos(theta),
+        params.P / params.N, math.sin(theta), math.cos(theta),
         math.cos(omega), 2.0 * math.sin(omega / 2.0) ** 2,
     )
 
@@ -192,7 +192,7 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
 def _step_condition(delta: float, sin0: float, rho: float, deriv: float) -> bool:
     """Whether the certificate accepts the backward step delta.
 
-    With c = sin(delta), sin0 = sin(theta0) and rho = N / (2P + N), the
+    With c = sin(delta), sin0 = sin(theta0) and rho = 1 / (2P + 1) at SNR P, the
     kernel's finite difference at omega = pi/2 is
     -1/2 [log1p(-c) + log1p(rho c) - log1p(-(c/sin0)^2)] / ln 2; the step is
     accepted when that difference over delta lies within 50% of deriv.
@@ -211,8 +211,8 @@ def _certificate_may_bind(params: ChannelParams, c0: float, value: float) -> boo
     value <= C(inf) is the bound after its cut-set and C(0) clamps, and
     margin = C(inf) - value is exact by Sterbenz (value >= C(0) >= C(inf)/2
     wherever 1 + P/N does not round) and within half an ulp otherwise.  The
-    certified bound C(inf) - P delta1 / (2 (2P+N) ln 2) reaches value at
-    delta_t = margin 2 (2P+N) ln 2 / P; the test point is delta_t lowered by
+    certified bound C(inf) - P delta1 / (2 (2P+1) ln 2), P the SNR, reaches
+    value at delta_t = margin 2 (2P+1) ln 2 / P; the test point is delta_t lowered by
     a guard.  The bisection keeps its step delta1 below theta0 and the step
     condition true at delta1, and the exact condition holds below one
     transition step and fails above it.  So if the test point is >= theta0,
@@ -223,27 +223,27 @@ def _certificate_may_bind(params: ChannelParams, c0: float, value: float) -> boo
     bound (~10 eps), and the band around the transition where the float
     condition can disagree with the exact one.  At the transition the three
     log1p terms, each of size up to ~c and good to an ulp, cancel to
-    ~(1 - rho) c / 2 = P c / (2P + N), so the difference quotient is good to
-    ~8 eps (2P+N)/P relative; the quotient falls at least linearly in delta,
+    ~(1 - rho) c / 2 = P c / (2P + 1), so the difference quotient is good to
+    ~8 eps (2P+1)/P relative; the quotient falls at least linearly in delta,
     so that error moves the float transition by at most twice as much, and
     the test, which must clear both ends of that band, needs
-    ~32 eps (2P+N)/P + 10 eps.  1024 eps (2P+N)/P leaves a factor of 30 over
+    ~32 eps (2P+1)/P + 10 eps.  1024 eps (2P+1)/P leaves a factor of 30 over
     that estimate; where the guard reaches 1/2 (SNR below ~1e-13) the
     bisection always runs.
     """
-    P, N = params.P / params.N, 1.0
-    guard = 1024.0 * _EPS * (2.0 * P + N) / P
+    P = params.P / params.N
+    guard = 1024.0 * _EPS * (2.0 * P + 1.0) / P
     if not guard < 0.5:
         return True
     margin = capacity_full_cooperation(params) - value
-    delta = margin * (2.0 * (2.0 * P + N) * LN2 / P) * (1.0 - guard)
+    delta = margin * (2.0 * (2.0 * P + 1.0) * LN2 / P) * (1.0 - guard)
     sin0 = 2.0 ** (-c0)
     if delta >= math.asin(sin0):
         return False
     if not delta >= sys.float_info.min:
         # margin 0, or a step too small for the band estimate to hold
         return True
-    return _step_condition(delta, sin0, N / (2.0 * P + N), P / ((2.0 * P + N) * LN2))
+    return _step_condition(delta, sin0, 1.0 / (2.0 * P + 1.0), P / ((2.0 * P + 1.0) * LN2))
 
 
 def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
@@ -251,11 +251,11 @@ def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
 
     Bisects for the largest backward step delta1 in (0, theta0) at which
     the one-sided finite difference of the kernel at omega = pi/2 stays
-    within 50% of the exact derivative P / ((2P + N) ln 2); the certified
-    bound is then C(inf) - P*delta1 / (2 (2P+N) ln 2).
+    within 50% of the exact derivative P / ((2P + 1) ln 2), P the SNR; the
+    certified bound is then C(inf) - P*delta1 / (2 (2P+1) ln 2).
 
     With c = sin(delta) the difference is
-    -1/2 [log1p(-c) + log1p(Nc/(2P+N)) - log1p(-(c/sin theta0)^2)] / ln 2,
+    -1/2 [log1p(-c) + log1p(c/(2P+1)) - log1p(-(c/sin theta0)^2)] / ln 2,
     which float64 resolves at any step, so the bisection runs in float64 and
     in log delta.  The valid step shrinks like theta0^2; once the bisection
     floor leaves float64's normal range (C0 in the hundreds) the
@@ -268,13 +268,13 @@ def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
     """
     if not math.isfinite(c0) or c0 < 0:
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
-    P, N = params.P / params.N, 1.0
-    deriv = P / ((2.0 * P + N) * LN2)
+    P = params.P / params.N
+    deriv = P / ((2.0 * P + 1.0) * LN2)
     sin0 = 2.0 ** (-c0)
     theta0 = math.asin(sin0)
-    rho = N / (2.0 * P + N)
+    rho = 1.0 / (2.0 * P + 1.0)
 
-    lo, hi = theta0 * theta0 * (P / (2.0 * P + N)) * 1e-6, theta0
+    lo, hi = theta0 * theta0 * (P / (2.0 * P + 1.0)) * 1e-6, theta0
     if lo < sys.float_info.min:
         raise NumericalError(
             f"C0 = {c0} puts the certificate step below float64 range"
@@ -292,7 +292,7 @@ def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
         else:
             hi = mid
 
-    gap = P * lo / (2.0 * (2.0 * P + N) * LN2)
+    gap = P * lo / (2.0 * (2.0 * P + 1.0) * LN2)
     return GapCertificate(
         theta0=theta0,
         delta1=lo,

@@ -531,7 +531,7 @@ def inner_min(P: float, N: float, theta: float) -> tuple[float, float]:
     den = 2.0 * P + N * co * co + co * r
     one_minus_c = co * ((2.0 * P + N) * co + r) / den
     q = 2.0 * P * s / den
-    return one_minus_c, _kernel_cos(P, N, s, co, q * s, one_minus_c)
+    return one_minus_c, _kernel_cos(P / N, s, co, q * s, one_minus_c)
 
 
 def brent_sup(P: float, N: float, c0: float) -> float:
