@@ -14,16 +14,16 @@ stays strictly below the full-cooperation capacity at every finite C0, and
 gap_certificate produces an explicit positive margin for that strictness.
 
 Everything is evaluated in float64 from closed forms: the inner minimum
-over omega is the smaller root of a quadratic in cos(omega), and the outer
-sup is 1/2 log2(1 + P (1 - c*) / (P + N)) with c* = P / ((P + N)(4^C0 - 1)
-+ P), below C(inf) - C(0) exactly when c* > 0, i.e. at every finite C0.
+over omega is the smaller root of a quadratic in cos(omega), and C(0) plus
+the outer sup is 1/2 log2(1 + s (2 - c*)) with s = P/N and
+c* = s / ((s + 1)(4^C0 - 1) + s), below C(inf) exactly when c* > 0, i.e. at
+every finite C0; it is rounded up by a proven bound on its float error.
 The certificate bisects a log1p-form finite difference.  No search is
 stochastic, so sweeps are exactly reproducible.
 
-Every rate depends on P and N only through the SNR s = P/N, so the
-formulas run at P = s, N = 1.  No intermediate such as 2(2P + N) then
-overflows where 2(2s + 1) does not, which ChannelParams checks, and at
-N = 1 the two are the same floats.
+Every rate depends on P and N only through s, so the formulas run at
+P = s, N = 1: no intermediate such as 2(2P + N) overflows where 2(2s + 1),
+which ChannelParams checks, does not.
 """
 
 from __future__ import annotations
@@ -108,32 +108,40 @@ def conditional_entropy_bound(params: ChannelParams, theta: float, omega: float)
     return entropy_difference_bound(params, theta, omega) - math.log2(math.sin(theta))
 
 
-def _outer_sup(P: float, N: float, c0: float) -> float:
-    """The bound's sup over theta of min{C0 + log2 sin(theta), k*(theta)}, in bits.
-
-    With c = cos(omega) the kernel's minimum over omega sits at the smaller
-    root c of P c^2 - (2P + N cos^2 theta) c + P sin^2 theta = 0, where
-    sin^2 theta - c^2 = c (1 - c)(2P + N + N c) / (P + N c), so
-    k* = 1/2 log2(sin^2 theta (P + N c) / ((P + N) c)).  C0 + log2 sin(theta)
-    increases in theta and k* does not, so the sup sits at their crossing,
-    which is linear in c:  4^C0 (P + N) c = P + N c, i.e.
-    c* = P / ((P + N)(4^C0 - 1) + P).  There the sup is
-    1/2 log2(1 + P (1 - c*) / (P + N)), below C(inf) - C(0) exactly when
-    c* > 0, i.e. at every finite C0.  P (1 - c*) / (P + N) is formed as
-    P / (P + N + P / (4^C0 - 1)), free of cancellation at either end.
-    """
+def _four_pow_minus_one(c0: float) -> float:
+    """4^C0 - 1 as expm1(2 C0 ln 2), so it keeps C0 down to subnormal C0; inf past C0 = 512."""
     try:
-        e = math.expm1(2.0 * c0 * LN2)
+        return math.expm1(2.0 * c0 * LN2)
     except OverflowError:
-        # 4^C0 beyond float64 (C0 > 512): c* < 2^-1024 moves no bit of the
-        # sup, which is C(inf) - C(0)
-        e = math.inf
-    if not e:
-        return 0.0
-    d = P + N + P / e
-    # at huge SNR and tiny C0 (e.g. 1e300 and 1e-9) P / e overflows, which
-    # would drop the sup to 0; there P / (P + N + P / e) = e / (e + 1 + e N / P)
-    return 0.5 * math.log1p(P / d if d < math.inf else e / (e + 1.0 + e * N / P)) / LN2
+        return math.inf
+
+
+def _closed_form_bound(s: float, c0: float) -> float:
+    """C(0) + sup at SNR s (unit noise), rounded up; before any clamp.
+
+    The kernel's minimum over omega sits at the smaller root c = cos(omega)
+    of s c^2 - (2s + cos^2 theta) c + s sin^2 theta = 0, where it is
+    k* = 1/2 log2(sin^2 theta (s + c) / ((s + 1) c)).  C0 + log2 sin(theta)
+    increases and k* does not; they cross where 4^C0 (s + 1) c = s + c, at
+    c* = 1 / (e + 1 + e/s) with e = 4^C0 - 1, and there C(0) + sup is
+    1/2 log2(1 + s (2 - c*)).  e + 1 + e/s overflows only where
+    c* < 2^-1023, and c* = 0 can only raise the value.
+
+    Error bound, first order in u = 2^-53, for s >= 2^-1000, with expm1 and
+    log1p within 1 ulp (glibc): x = s (2 - c*) moves by c* (1 - c*) / (2 - c*)
+    times e's relative error, which is expm1's 2u plus t (1 + 1/e) 1.5u from
+    rounding t = 2 C0 ln 2 (and t (1 + 1/e) <= ln(1/c*) / (1 - c*) since
+    c* <= e^-t); forming c* adds c* / (2 - c*) 3u.  These total <= 3u, at
+    c* = 1.  2 - c* and the product add u each; log1p passes x's error on
+    with a factor <= 1 and adds 2u; dividing by 2 LN2 adds 1.5u.  A
+    subnormal e (2^-1073 off) moves 2 - c* by < 2^-1072 / s <= 2^-72.  So v
+    is within 8.6u of the exact value b, and fl(v (1 + 10u)) >=
+    b (1 - 8.6u)(1 + 10u)(1 - u) > b: the round-up is 5-10 ulps.  Measured
+    against 90-digit values, v itself is within 2.7u.
+    """
+    e = _four_pow_minus_one(c0)
+    c_star = 1.0 / (e + 1.0 + e / s)
+    return math.log1p(s * (2.0 - c_star)) / (2.0 * LN2) * (1.0 + 5.0 * _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +159,11 @@ def cutset_bound(params: ChannelParams, c0: float) -> float:
 def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
     """Geometric capacity upper bound at finite C0.
 
-    C(0) plus the closed-form sup (_outer_sup), rounded up by a bound on
-    its float evaluation error and then clamped: below by C(0), above by
-    the cut-set bound and by the certified bound, which keeps the result
-    strictly below C(inf) even where the true gap is smaller than the sum's
-    rounding (e.g. SNR ~ 1e-4 with C0 ~ 15).  Last, it is raised to
+    The closed form 1/2 log2(1 + s (2 - c*)) (_closed_form_bound), rounded
+    up by a proven bound on its float evaluation error and then clamped:
+    below by C(0), above by the cut-set bound and by the certified bound,
+    which keeps the result strictly below C(inf) even where the true gap is
+    smaller than the round-up (e.g. SNR ~ 1e-4 with C0 ~ 15).  Last, it is raised to
     compress_forward_rate, so the float values keep the true order
     cf_rate <= bound <= cut-set at every input.  Every finite C0 >= 0 gives
     a value.
@@ -170,13 +178,8 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
                            "capacity_full_cooperation for the C0 = inf asymptote")
     if c0 < 0 or math.isnan(c0):
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
-    best = _outer_sup(params.P / params.N, 1.0, c0)
-    c_no_relay = capacity_no_relay(params)
-    # the sup (at most 1/2) is good to a few eps, plus c* times the ~1.4 C0
-    # eps relative error that expm1's rounded argument puts on 4^C0 - 1; the
-    # sum carries an ulp of C(0)
-    value = c_no_relay + best + 8.0 * _EPS * (1.0 + c0 + c_no_relay)
-    value = max(min(value, cutset_bound(params, c0)), c_no_relay)
+    value = _closed_form_bound(params.P / params.N, c0)
+    value = max(min(value, cutset_bound(params, c0)), capacity_no_relay(params))
     if _certificate_may_bind(params, c0, value):
         try:
             value = min(value, gap_certificate(params, c0).certified_bound)
@@ -334,17 +337,13 @@ def cf_quantization_variance(params: ChannelParams, c0: float) -> float:
 
 def _unit_cf_variance(s: float, c0: float) -> float:
     """sigma^2 / N = (2s + 1) / ((s + 1)(2^(2 C0) - 1)) at SNR s and finite C0 > 0."""
-    try:
-        # expm1 keeps 2^(2 C0) - 1 exact down to subnormal C0
-        e = math.expm1(2.0 * c0 * LN2)
-    except OverflowError:
-        # 2^(2 C0) beyond float64 (C0 > 512): sigma^2 is below N's last ulp
-        return 0.0
+    e = _four_pow_minus_one(c0)
     den = (s + 1.0) * e
     if den < math.inf:
         return (2.0 * s + 1.0) / den
     # at huge SNR the product overflows while sigma^2 ~ 2N / (4^C0 - 1) still
-    # moves the rate (e.g. SNR 1e305, C0 = 10), so form the ratio first
+    # moves the rate (e.g. SNR 1e305, C0 = 10), so form the ratio first; past
+    # C0 = 512, where e is inf, sigma^2 is below N's last ulp and this is 0
     return (2.0 * s + 1.0) / (s + 1.0) / e
 
 

