@@ -53,6 +53,8 @@ HALF_PI = math.pi / 2.0
 # pi - fl(pi): intervals past the equator are mirrored at the true pi, so
 # that [lo, pi] keeps the sliver where sin^k is largest.
 _PI_LO = 1.2246467991473532e-16
+# Width at which the effective-angle bisection stops; it returns the midpoint.
+_ANGLE_BRACKET = 1e-13
 
 
 def trial_rng(seed: int, stream: int) -> np.random.Generator:
@@ -101,7 +103,7 @@ def _contains_polar(intervals, polar: np.ndarray) -> np.ndarray:
 
 
 def _solve_angle_for_mass(m: int, target_log2: float) -> float:
-    """Cap angle whose sin^(m-2) mass equals target_log2 (bisection to 1e-12)."""
+    """Cap angle whose sin^(m-2) mass equals target_log2 (bisection to _ANGLE_BRACKET)."""
     lo, hi = 0.0, math.pi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -109,7 +111,7 @@ def _solve_angle_for_mass(m: int, target_log2: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-13:
+        if hi - lo < _ANGLE_BRACKET:
             break
     return 0.5 * (lo + hi)
 
@@ -698,6 +700,11 @@ def _isoperimetry_trials(
     if m < 4:
         raise DomainError(f"need m >= 4, got {m}")
     theta = target.effective_theta
+    # a mass one ulp above the hemisphere's (a 90 deg band or two caps, whose
+    # masses make a round trip, or a full shell cap's (angular + part) - full)
+    # solves to just past pi/2, within the bisection's bracket
+    if HALF_PI < theta <= HALF_PI + _ANGLE_BRACKET:
+        theta = HALF_PI
     if not 0.0 < theta <= HALF_PI:
         raise DomainError(f"effective angle must lie in (0, pi/2], got {theta}")
     if not 0.0 < omega <= HALF_PI:

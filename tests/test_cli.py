@@ -328,6 +328,23 @@ class TestMc:
         assert code in (EXIT_OK, EXIT_MC_INCONCLUSIVE)
         assert "radial_law" not in json.loads(out)["rows"][0]
 
+    @pytest.mark.parametrize("command, m, shape", [
+        ("isoperimetry-sphere", 50, "band"),
+        ("isoperimetry-sphere", 50, "twocaps"),
+        ("isoperimetry-sphere", 1000, "twocaps"),
+        ("isoperimetry-shell", 1000, "cap"),
+    ])
+    def test_hemisphere_effective_angle_runs(self, capsys, command, m, shape):
+        # these sets' masses come out one ulp above the hemisphere's, which
+        # the effective-angle bisection solves to pi/2 + 4.5e-14; that is
+        # pi/2, not invalid input
+        code, out, err = run_cli(
+            capsys, "mc", command, "--m", str(m), "--set", shape, "--theta", "90",
+            "--omega", "35", "--deg", "--trials", "20", "--samples", "200",
+        )
+        assert code in (EXIT_OK, EXIT_MC_FAIL, EXIT_MC_INCONCLUSIVE), err
+        assert json.loads(out)["rows"][0]["theta"] == math.pi / 2
+
     def test_radial_law_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mc", "isoperimetry-shell", "--m", "100", "--theta", "70",
