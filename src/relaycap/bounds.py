@@ -163,8 +163,8 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
     up by a proven bound on its float evaluation error and then clamped:
     below by C(0), above by the cut-set bound and by the certified bound,
     which keeps the result strictly below C(inf) even where the true gap is
-    smaller than the round-up (e.g. SNR ~ 1e-4 with C0 ~ 15).  Last, it is raised to
-    compress_forward_rate, so the float values keep the true order
+    smaller than the round-up (e.g. SNR ~ 1e-4 with C0 ~ 15).  Last, it is
+    raised to compress_forward_rate, so the float values keep the true order
     cf_rate <= bound <= cut-set at every input.  Every finite C0 >= 0 gives
     a value.
 
@@ -195,8 +195,8 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
 def _step_condition(delta: float, sin0: float, rho: float, deriv: float) -> bool:
     """Whether the certificate accepts the backward step delta.
 
-    With c = sin(delta), sin0 = sin(theta0) and rho = 1 / (2P + 1) at SNR P, the
-    kernel's finite difference at omega = pi/2 is
+    With c = sin(delta), sin0 = sin(theta0) and rho = 1 / (2P + 1) at SNR P,
+    the kernel's finite difference at omega = pi/2 is
     -1/2 [log1p(-c) + log1p(rho c) - log1p(-(c/sin0)^2)] / ln 2; the step is
     accepted when that difference over delta lies within 50% of deriv.
     """
@@ -214,8 +214,8 @@ def _certificate_may_bind(params: ChannelParams, c0: float, value: float) -> boo
     value <= C(inf) is the bound after its cut-set and C(0) clamps, and
     margin = C(inf) - value is exact by Sterbenz (value >= C(0) >= C(inf)/2
     wherever 1 + P/N does not round) and within half an ulp otherwise.  The
-    certified bound C(inf) - P delta1 / (2 (2P+1) ln 2), P the SNR, reaches
-    value at delta_t = margin 2 (2P+1) ln 2 / P; the test point is delta_t lowered by
+    certified bound C(inf) - P delta1 / (2 (2P+1) ln 2) reaches value at
+    delta_t = margin 2 (2P+1) ln 2 / P; the test point is delta_t lowered by
     a guard.  The bisection keeps its step delta1 below theta0 and the step
     condition true at delta1, and the exact condition holds below one
     transition step and fails above it.  So if the test point is >= theta0,
