@@ -160,18 +160,17 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
     """Geometric capacity upper bound at finite C0.
 
     The closed form 1/2 log2(1 + s (2 - c*)) (_closed_form_bound), rounded
-    up by a proven bound on its float evaluation error and then clamped:
-    below by C(0), above by the cut-set bound and by the certified bound,
-    which keeps the result strictly below C(inf) even where the true gap is
-    smaller than the round-up (e.g. SNR ~ 1e-4 with C0 ~ 15).  Last, it is
-    raised to compress_forward_rate, so the float values keep the true order
+    up by a proven bound on its float evaluation error and then clamped
+    below by C(0) and above by the cut-set bound.  Only where that value
+    rounds to C(inf), because the true gap is smaller than the round-up
+    (e.g. SNR ~ 1e-4 with C0 ~ 15), is it also clamped to the certified
+    bound, which keeps it strictly below C(inf) wherever the certified gap
+    is at least half an ulp.  Below C(inf) the value is kept as it is: the
+    clamp could only lower it by rounding noise, and where float C(inf)
+    reads low (low SNR) below the exact bound.  Last, it is raised to
+    compress_forward_rate, so the float values keep the true order
     cf_rate <= bound <= cut-set at every input.  Every finite C0 >= 0 gives
     a value.
-
-    The certificate's bisection runs only where one evaluation of its step
-    condition cannot rule the clamp out (_certificate_may_bind): away from
-    that, the certified bound is provably >= the value, so the min would
-    return the value unchanged and skipping it moves no bit.
     """
     if math.isinf(c0):
         raise InvalidInput("capacity_upper_bound requires finite C0; use "
@@ -180,7 +179,7 @@ def capacity_upper_bound(params: ChannelParams, c0: float) -> float:
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")
     value = _closed_form_bound(params.P / params.N, c0)
     value = max(min(value, cutset_bound(params, c0)), capacity_no_relay(params))
-    if _certificate_may_bind(params, c0, value):
+    if not value < capacity_full_cooperation(params):
         try:
             value = min(value, gap_certificate(params, c0).certified_bound)
         except NumericalError:
@@ -208,47 +207,6 @@ def _step_condition(delta: float, sin0: float, rho: float, deriv: float) -> bool
     return abs(diff / delta - deriv) <= deriv / 2.0
 
 
-def _certificate_may_bind(params: ChannelParams, c0: float, value: float) -> bool:
-    """False only where gap_certificate's certified bound is >= value for sure.
-
-    value <= C(inf) is the bound after its cut-set and C(0) clamps, and
-    margin = C(inf) - value is exact by Sterbenz (value >= C(0) >= C(inf)/2
-    wherever 1 + P/N does not round) and within half an ulp otherwise.  The
-    certified bound C(inf) - P delta1 / (2 (2P+1) ln 2) reaches value at
-    delta_t = margin 2 (2P+1) ln 2 / P; the test point is delta_t lowered by
-    a guard.  The bisection keeps its step delta1 below theta0 and the step
-    condition true at delta1, and the exact condition holds below one
-    transition step and fails above it.  So if the test point is >= theta0,
-    or the float condition fails there, delta1 < delta_t: the certified
-    bound is >= value and clamping to it changes nothing.
-
-    The guard covers the roundings of margin, delta_t and the certified
-    bound (~10 eps), and the band around the transition where the float
-    condition can disagree with the exact one.  At the transition the three
-    log1p terms, each of size up to ~c and good to an ulp, cancel to
-    ~(1 - rho) c / 2 = P c / (2P + 1), so the difference quotient is good to
-    ~8 eps (2P+1)/P relative; the quotient falls at least linearly in delta,
-    so that error moves the float transition by at most twice as much, and
-    the test, which must clear both ends of that band, needs
-    ~32 eps (2P+1)/P + 10 eps.  1024 eps (2P+1)/P leaves a factor of 30 over
-    that estimate; where the guard reaches 1/2 (SNR below ~1e-13) the
-    bisection always runs.
-    """
-    P = params.P / params.N
-    guard = 1024.0 * _EPS * (2.0 * P + 1.0) / P
-    if not guard < 0.5:
-        return True
-    margin = capacity_full_cooperation(params) - value
-    delta = margin * (2.0 * (2.0 * P + 1.0) * LN2 / P) * (1.0 - guard)
-    sin0 = 2.0 ** (-c0)
-    if delta >= math.asin(sin0):
-        return False
-    if not delta >= sys.float_info.min:
-        # margin 0, or a step too small for the band estimate to hold
-        return True
-    return _step_condition(delta, sin0, 1.0 / (2.0 * P + 1.0), P / ((2.0 * P + 1.0) * LN2))
-
-
 def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
     """Certify a strict gap below full cooperation at finite C0.
 
@@ -265,9 +223,8 @@ def gap_certificate(params: ChannelParams, c0: float) -> GapCertificate:
     certificate raises NumericalError.
 
     Every call runs the full bisection.  capacity_upper_bound calls it only
-    where the clamp to certified_bound may bind; elsewhere one evaluation
-    of the step condition shows delta1 lies below the step at which the
-    certified bound would reach the bound's value.
+    where its closed form rounds to C(inf), the one case where the clamp to
+    certified_bound is what keeps the bound strictly below C(inf).
     """
     if not math.isfinite(c0) or c0 < 0:
         raise InvalidInput(f"C0 must be finite and >= 0, got {c0}")

@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -289,7 +290,7 @@ class TestGapCertificate:
         assert 0.0 < cert.delta1 < cert.theta0
         assert cert.gap_lower_bound > 0.0
 
-    def test_bisection_runs_only_where_the_clamp_may_bind(self, monkeypatch):
+    def test_bisection_runs_only_where_the_bound_reaches_c_inf(self, monkeypatch):
         calls = []
         real = bounds.gap_certificate
 
@@ -608,18 +609,46 @@ class TestProperties:
     # theta0 = asin(2^-C0) underflows to 0
     @example(snr=1.0, c0=1075.0)
     @example(snr=1.0, c0=5e-324)
-    # a guard of 0.23, near the 1/2 from which the bisection always runs
     @example(snr=1e-12, c0=2e-13)
-    def test_same_bits_as_always_bisect(self, snr, c0):
+    # below float C(inf), where clamping to the certificate put the bound
+    # 79.5 ulps under the exact bound
+    @example(snr=0.00014107344689140585, c0=12.700657690960622)
+    def test_certificate_clamps_only_where_the_bound_reaches_c_inf(self, snr, c0):
         p = ChannelParams.from_snr(snr)
 
         def outcome(f):
             try:
-                return f(p, c0).hex()
+                return f(p, c0)
             except Exception as exc:
                 return type(exc), str(exc)
 
-        assert outcome(capacity_upper_bound) == outcome(capacity_upper_bound_always_bisect)
+        always = outcome(capacity_upper_bound_always_bisect)
+        with mock.patch.object(bounds, "gap_certificate", wraps=bounds.gap_certificate) as cert:
+            ours = outcome(capacity_upper_bound)
+        if isinstance(always, tuple) or isinstance(ours, tuple):
+            assert ours == always
+            return
+        value = max(min(bounds._closed_form_bound(snr, c0), cutset_bound(p, c0)),
+                    capacity_no_relay(p))
+        if not value < capacity_full_cooperation(p):
+            assert ours.hex() == always.hex()
+        else:
+            assert cert.call_count == 0
+            assert ours.hex() == max(value, compress_forward_rate(p, c0)).hex()
+        assert ours >= always
+
+    @pytest.mark.parametrize("snr, c0", [
+        (0.0020982515599592584, 14.013580677811015),
+        (0.00014107344689140585, 12.700657690960622),
+        (0.0005207628653277671, 16.034032053422646),
+    ])
+    def test_not_below_the_exact_bound_where_it_stays_below_c_inf(self, snr, c0):
+        # `curves` pool points where the bound is strictly below float C(inf)
+        # and clamping it to the certificate took it under the exact bound
+        p = ChannelParams.from_snr(snr)
+        ub = capacity_upper_bound(p, c0)
+        assert mp.mpf(ub) >= mp_closed_form(snr, c0)
+        assert ub < capacity_full_cooperation(p)
 
     @settings(max_examples=100, deadline=None)
     # below C0 ~ 1e-60 the oracle's root-find in theta stalls within
