@@ -223,6 +223,8 @@ class SphereSet:
         ln_lo, ln_hi = math.log(HALF_PI) - 800.0, math.log(HALF_PI)
         for _ in range(120):
             ln_mid = 0.5 * (ln_lo + ln_hi)
+            if not ln_lo < ln_mid < ln_hi:
+                break
             if _log2_band_mass(m, math.exp(ln_mid)) < target:
                 ln_lo = ln_mid
             else:
