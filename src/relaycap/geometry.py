@@ -302,71 +302,6 @@ def log2_reg_inc_beta(x: float, a: float, b: float) -> float:
     return _log2_reg_inc_beta(x, _inc_beta_shape(a, b))
 
 
-# ---------------------------------------------------------------------------
-# Log-domain adaptive quadrature
-# ---------------------------------------------------------------------------
-
-
-def _log2_quad(log2_f, a: float, b: float, peak_x: float, drop_bits: float = 70.0) -> float:
-    """log2 of the integral of 2^log2_f over [a, b].
-
-    log2_f must rise (weakly) up to peak_x in [a, b] and fall after it;
-    callers know their integrand's argmax and pass it in.  The integrand
-    may span thousands of orders of magnitude (log2_f values like
-    -m/2 * 50 at m in the thousands), so it is shifted by its peak value
-    log2_f(peak_x), which makes its maximum exactly 1, and the interval is
-    truncated one 129-point grid cell beyond where the integrand has
-    fallen drop_bits below the grid's highest value (discarded mass is
-    relatively ~2^-55 or less).  On a unimodal integrand those cut points
-    are found by bisection on either side of the peak.  Only then is the
-    shifted integrand handed to adaptive Gauss-Kronrod quadrature.
-    """
-    if not b > a:
-        return -math.inf
-    # loaded on first use: numpy costs ~0.17 s of start-up, scipy.integrate ~0.7 s
-    import numpy as np
-    from scipy.integrate import quad
-
-    inset = (b - a) * 1e-12
-    xs = np.linspace(a + inset, b - inset, 129)
-    last = len(xs) - 1
-    at = functools.cache(lambda i: log2_f(float(xs[i])))
-    # The grid's highest point is one of the two that bracket the peak.
-    k = int(np.searchsorted(xs, peak_x))
-    j = max((i for i in (k - 1, k) if 0 <= i <= last), key=at)
-    if not at(j) > -math.inf:
-        return -math.inf
-    floor = at(j) - drop_bits
-    # Unimodality makes at(i) >= floor false-then-true on [0, j] and
-    # true-then-false on [j, last], so both ends of the kept run bisect.
-    first = bisect.bisect_left(range(j + 1), True, key=lambda i: at(i) >= floor)
-    final = j - 1 + bisect.bisect_left(
-        range(j, last + 1), True, key=lambda i: not at(i) >= floor
-    )
-    lo = float(xs[first - 1]) if first > 0 else a
-    hi = float(xs[final + 1]) if final < last else b
-
-    shift = log2_f(peak_x)
-
-    def integrand(x: float) -> float:
-        v = log2_f(x) - shift
-        if v == -math.inf:
-            return 0.0
-        return 2.0 ** min(v, 500.0)
-
-    value, abserr, *_ = quad(
-        integrand, lo, hi, epsabs=0.0, epsrel=1e-11, limit=400, full_output=1
-    )
-    if value <= 0.0:
-        return -math.inf
-    if abserr > 1e-7 * value:
-        raise NumericalError(
-            f"log-domain quadrature failed to converge on [{a}, {b}]: "
-            f"value={value}, abserr={abserr}"
-        )
-    return shift + math.log2(value)
-
-
 def _log2_sin_integral_zero_to(k: int, theta: float) -> float:
     """log2 of the integral of sin^k over [0, theta], via the closed beta form.
 
@@ -497,6 +432,58 @@ def _lens_piece_log2_integrand(m: int, phi_ref: float):
     return g
 
 
+def _log2_lens_piece(m: int, phi_ref: float, theta_cap: float) -> float:
+    """log2 of the integral of 2^g over [phi_ref, theta_cap], g the lens integrand.
+
+    g = _lens_piece_log2_integrand(m, phi_ref) is nondecreasing, so it
+    peaks at theta_cap; it may span thousands of orders of magnitude, so it
+    is shifted by g(theta_cap), which makes its maximum exactly 1.  The
+    interval is cut one 129-point grid cell below where g has fallen 70
+    bits under the grid's highest value (discarded mass is relatively
+    ~2^-55 or less); the cut is found by bisection, since g >= floor is
+    false-then-true on the grid.  Only then is the shifted integrand handed
+    to adaptive Gauss-Kronrod quadrature.  The grid is numpy.linspace's,
+    point for point.
+    """
+    # loaded on first use: scipy.integrate costs ~0.7 s of start-up
+    from scipy.integrate import quad
+
+    g = _lens_piece_log2_integrand(m, phi_ref)
+    inset = (theta_cap - phi_ref) * 1e-12
+    start, stop = phi_ref + inset, theta_cap - inset
+    step = (stop - start) / 128
+    xs = [i * step + start for i in range(128)] + [stop]
+    at = functools.cache(lambda i: g(xs[i]))
+    # The grid's highest point is one of the two that bracket the peak.
+    k = bisect.bisect_left(xs, theta_cap)
+    j = max((i for i in (k - 1, k) if i < len(xs)), key=at)
+    if not at(j) > -math.inf:
+        return -math.inf
+    floor = at(j) - 70.0
+    first = bisect.bisect_left(range(j + 1), True, key=lambda i: at(i) >= floor)
+    lo = xs[first - 1] if first > 0 else phi_ref
+
+    shift = g(theta_cap)
+
+    def integrand(x: float) -> float:
+        v = g(x) - shift
+        if v == -math.inf:
+            return 0.0
+        return 2.0 ** min(v, 500.0)
+
+    value, abserr, *_ = quad(
+        integrand, lo, theta_cap, epsabs=0.0, epsrel=1e-11, limit=400, full_output=1
+    )
+    if value <= 0.0:
+        return -math.inf
+    if abserr > 1e-7 * value:
+        raise NumericalError(
+            f"log-domain quadrature failed to converge on [{phi_ref}, {theta_cap}]: "
+            f"value={value}, abserr={abserr}"
+        )
+    return shift + math.log2(value)
+
+
 def log_cap_intersection(m: int, n_scale: float, theta1: float, theta2: float) -> LogMeasure:
     """Area of the intersection of two caps with orthogonal poles.
 
@@ -541,8 +528,7 @@ def log_cap_intersection(m: int, n_scale: float, theta1: float, theta2: float) -
         # below 2^-25 everywhere in the valid domain, so drop it.
         if theta_cap - phi_ref <= _MIN_PIECE_WIDTH:
             return -math.inf
-        g = _lens_piece_log2_integrand(m, phi_ref)
-        return log2_front + _log2_quad(g, phi_ref, theta_cap, theta_cap)
+        return log2_front + _log2_lens_piece(m, phi_ref, theta_cap)
 
     j1 = piece(phi, theta2)
     j2 = piece(math.pi / 2.0 - phi, theta1)

@@ -4,9 +4,11 @@ Nothing here is used by the package itself:
 
 - point samplers for the sphere and for caps, whose empirical laws check
   the estimator's coordinates and the cap-area ratios;
-- log-domain quadrature of the sin^k integrals behind cap and band
-  masses, over `geometry._log2_quad` (the package's closed forms are
-  checked against it);
+- a general log-domain quadrature, `log2_quad`, of which the package's
+  lens quadrature (`geometry._log2_lens_piece`) is the specialization to
+  an integrand that peaks at its right end; over it, the sin^k integrals
+  behind cap and band masses (the package's closed forms are checked
+  against them);
 - 40-digit mpmath cap areas and 50-digit masses of polar-interval sets;
 - a frozen copy of the incomplete beta and the lens-piece integrand as they
   were before the package built their constants once per shape: one
@@ -21,10 +23,10 @@ Nothing here is used by the package itself:
 - the kernel's float minimum over omega at one theta, and the bound's sup
   as the package found it before the closed form: scipy's `brentq` for the
   crossing of C0 + log2 sin(theta) and that minimum;
-- a frozen copy of `capacity_upper_bound` as it was before it ran the
-  certificate's bisection only where the clamp can bind: it runs it at
-  every point.  The package must return the same floats and raise the
-  same errors;
+- a copy of `capacity_upper_bound` that clamps the bound to the
+  certificate at every point.  The package must return the same floats
+  and raise the same errors where its value rounds to C(inf), and a value
+  no lower elsewhere;
 - a frozen copy of `OutputRecord.to_json` as it was before the CLI's
   module-level JSON writer: a closure rebuilt per call, every key and
   string through `json.dumps`.  The writer must give the same text.
@@ -32,10 +34,11 @@ Nothing here is used by the package itself:
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import sys
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -53,7 +56,6 @@ from relaycap.geometry import (
     MeasureKind,
     _log2_beta_fn,
     _log2_cap_front,
-    _log2_quad,
     _log2_sin_integral_zero_to,
 )
 
@@ -143,6 +145,64 @@ def polar_angles(points: np.ndarray, radius: float = 1.0) -> np.ndarray:
     return np.arccos(np.clip(points[..., 0] / radius, -1.0, 1.0))
 
 
+def log2_quad(log2_f, a: float, b: float, peak_x: float, drop_bits: float = 70.0) -> float:
+    """log2 of the integral of 2^log2_f over [a, b].
+
+    log2_f must rise (weakly) up to peak_x in [a, b] and fall after it;
+    callers know their integrand's argmax and pass it in.  The integrand
+    may span thousands of orders of magnitude (log2_f values like
+    -m/2 * 50 at m in the thousands), so it is shifted by its peak value
+    log2_f(peak_x), which makes its maximum exactly 1, and the interval is
+    truncated one 129-point grid cell beyond where the integrand has
+    fallen drop_bits below the grid's highest value (discarded mass is
+    relatively ~2^-55 or less).  On a unimodal integrand those cut points
+    are found by bisection on either side of the peak.  Only then is the
+    shifted integrand handed to adaptive Gauss-Kronrod quadrature.
+    """
+    if not b > a:
+        return -math.inf
+    from scipy.integrate import quad
+
+    inset = (b - a) * 1e-12
+    xs = np.linspace(a + inset, b - inset, 129)
+    last = len(xs) - 1
+    at = cache(lambda i: log2_f(float(xs[i])))
+    # The grid's highest point is one of the two that bracket the peak.
+    k = int(np.searchsorted(xs, peak_x))
+    j = max((i for i in (k - 1, k) if 0 <= i <= last), key=at)
+    if not at(j) > -math.inf:
+        return -math.inf
+    floor = at(j) - drop_bits
+    # Unimodality makes at(i) >= floor false-then-true on [0, j] and
+    # true-then-false on [j, last], so both ends of the kept run bisect.
+    first = bisect.bisect_left(range(j + 1), True, key=lambda i: at(i) >= floor)
+    final = j - 1 + bisect.bisect_left(
+        range(j, last + 1), True, key=lambda i: not at(i) >= floor
+    )
+    lo = float(xs[first - 1]) if first > 0 else a
+    hi = float(xs[final + 1]) if final < last else b
+
+    shift = log2_f(peak_x)
+
+    def integrand(x: float) -> float:
+        v = log2_f(x) - shift
+        if v == -math.inf:
+            return 0.0
+        return 2.0 ** min(v, 500.0)
+
+    value, abserr, *_ = quad(
+        integrand, lo, hi, epsabs=0.0, epsrel=1e-11, limit=400, full_output=1
+    )
+    if value <= 0.0:
+        return -math.inf
+    if abserr > 1e-7 * value:
+        raise NumericalError(
+            f"log-domain quadrature failed to converge on [{a}, {b}]: "
+            f"value={value}, abserr={abserr}"
+        )
+    return shift + math.log2(value)
+
+
 def log2_sin_power_integral(k: int, lo: float, hi: float) -> float:
     """log2 of the integral of sin(rho)^k over [lo, hi] in [0, pi], by quadrature.
 
@@ -160,7 +220,7 @@ def log2_sin_power_integral(k: int, lo: float, hi: float) -> float:
             return -math.inf
         return k * math.log2(s)
 
-    return _log2_quad(g, lo, hi, min(max(math.pi / 2.0, lo), hi))
+    return log2_quad(g, lo, hi, min(max(math.pi / 2.0, lo), hi))
 
 
 def log_cap_area_quadrature(spec: CapSpec) -> LogMeasure:

@@ -40,6 +40,7 @@ from oracles import (
     betainc_mpmath,
     lens_piece_log2_integrand_frozen,
     log2_cap_area_mpmath,
+    log2_quad,
     log2_reg_inc_beta_frozen,
     log2_sin_power_integral,
     log_cap_area_quadrature,
@@ -416,6 +417,27 @@ class TestCapIntersection:
             for w in where:
                 rho = phi_ref + w * (theta_cap - phi_ref)
                 assert _bits(g, rho) == _bits(frozen, rho), (phi_ref, theta_cap, rho)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(4, 10**6), angles=_lens_angles())
+    # near-degenerate: the pieces are narrow enough that the grid's last
+    # point rounds to theta_cap
+    @example(m=90, angles=(1.0, HALF_PI - 1.0 + 1e-7))
+    @example(m=10**4, angles=(deg(20), HALF_PI - deg(20) + 1e-7))
+    # hemispheres
+    @example(m=10**4, angles=(HALF_PI, deg(35)))
+    @example(m=4, angles=(HALF_PI, HALF_PI))
+    def test_lens_piece_same_floats_as_general_quadrature(self, m, angles):
+        # the lens quadrature is the general log-domain quadrature at a peak
+        # on the right end; it must give its floats and raise its errors
+        theta1, theta2 = angles
+        assume(math.sin(theta1) ** 2 + math.sin(theta2) ** 2 - 1.0 > 0.0)
+        for phi_ref, theta_cap in _lens_pieces(theta1, theta2):
+            if theta_cap - phi_ref <= geometry._MIN_PIECE_WIDTH:
+                continue
+            g = _lens_piece_log2_integrand(m, phi_ref)
+            assert (_bits(geometry._log2_lens_piece, m, phi_ref, theta_cap)
+                    == _bits(log2_quad, g, phi_ref, theta_cap, theta_cap)), (phi_ref, theta_cap)
 
     def test_incomplete_beta_call_budget(self, monkeypatch):
         # each piece-integrand evaluation is one incomplete-beta evaluation
