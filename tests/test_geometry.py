@@ -211,6 +211,32 @@ class TestRegIncBeta:
             assert outcome == _bits(frozen, x, a, b)
             assert outcome[0] in ("NumericalError", "DomainError")
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        m=st.one_of(st.integers(3, 10**4), st.integers(3, 2 * 10**9)),
+        half=st.sampled_from([-1, -2, 1]),
+        flip=st.booleans(),
+        x=st.one_of(
+            st.floats(0.0, 1.0),
+            st.tuples(st.just("abs"), st.floats(-1e-3, 1e-3)),
+            st.tuples(st.just("rel"), st.floats(-0.5, 0.5)),
+        ),
+    )
+    @example(m=4424, half=-2, flip=True, x=6.78e-4)
+    def test_iterations_far_below_the_cap_at_the_package_shapes(self, m, half, flip, x):
+        # the package only asks for (a, 1/2) and (1/2, a), a = (m - 1)/2,
+        # (m - 2)/2 or (m + 1)/2; there the continued fraction, one table row
+        # per iteration, must stay far from the cap of _BETA_MAX_ITER
+        a = (m + half) / 2.0
+        shape = geometry._inc_beta_shape.__wrapped__(*((0.5, a) if flip else (a, 0.5)))
+        switch = shape[3]
+        if isinstance(x, tuple):
+            x = x[1] + switch if x[0] == "abs" else switch * (1.0 + x[1])
+            x = min(max(x, 0.0), 1.0)
+        geometry._reg_inc_beta(x, shape)
+        geometry._log2_reg_inc_beta(x, shape)
+        assert max(len(shape[4]), len(shape[5])) <= 128 < geometry._BETA_MAX_ITER
+
     def test_cached_shape_gives_frozen_floats(self):
         # One shape's continued-fraction tables are shared by every x and grow
         # as deeper rows are first needed; in whatever order the x values
